@@ -3,7 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"accdb/internal/interference"
 	"accdb/internal/spi"
@@ -275,31 +276,41 @@ func (tc *Ctx) GetMany(table string, keys [][]spi.Value) ([]spi.Row, error) {
 	}
 	// Lock in key order: batched acquirers that sort identically cannot
 	// deadlock against each other.
-	sorted := make([][]spi.Value, len(keys))
-	copy(sorted, keys)
-	sort.Slice(sorted, func(i, j int) bool {
-		return spi.EncodeKey(sorted[i]...) < spi.EncodeKey(sorted[j]...)
-	})
-	pks := make([]spi.Key, len(sorted))
-	for i, kv := range sorted {
-		pk := spi.EncodeKey(kv...)
-		if err := tc.lockRead(table, kv, pk); err != nil {
+	sorted := sortByKey(keys)
+	for _, k := range sorted {
+		if err := tc.lockRead(table, k.vals, k.pk); err != nil {
 			return nil, err
 		}
-		pks[i] = pk
 	}
-	rows := make([]spi.Row, 0, len(pks))
+	rows := make([]spi.Row, 0, len(sorted))
 	tc.stmt(func() {
-		for _, pk := range pks {
-			if row, err := t.Get(pk); err == nil {
+		for _, k := range sorted {
+			if row, err := t.Get(k.pk); err == nil {
 				rows = append(rows, row)
 			}
 		}
 	})
-	for _, pk := range pks {
-		tc.e.record(tc.txn, table, pk, false)
+	for _, k := range sorted {
+		tc.e.record(tc.txn, table, k.pk, false)
 	}
 	return rows, nil
+}
+
+// keyedVals is a primary-key value list with its encoding.
+type keyedVals struct {
+	pk   spi.Key
+	vals []spi.Value
+}
+
+// sortByKey encodes each key once and returns the keys in encoded-key
+// order, the lock order of GetMany.
+func sortByKey(keys [][]spi.Value) []keyedVals {
+	out := make([]keyedVals, len(keys))
+	for i, kv := range keys {
+		out[i] = keyedVals{pk: spi.EncodeKey(kv...), vals: kv}
+	}
+	slices.SortFunc(out, func(a, b keyedVals) int { return strings.Compare(string(a.pk), string(b.pk)) })
+	return out
 }
 
 // ClaimMin atomically pops the index-least row matching eqVals: it probes

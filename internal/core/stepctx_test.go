@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -219,6 +221,57 @@ func TestCtxLookupByIndexAndGetMany(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// GetMany locks, reads and returns rows in encoded-key order whatever order
+// the keys arrive in, and its sort encodes each key exactly once.
+func TestGetManyKeyOrderAndAllocs(t *testing.T) {
+	s := newOpSys(t)
+	err := s.run(t, func(tc *Ctx) error {
+		rows, err := tc.GetMany("inventory", [][]spi.Value{
+			{spi.I64(2), spi.I64(3)},
+			{spi.I64(1), spi.I64(5)},
+			{spi.I64(2), spi.I64(1)},
+			{spi.I64(1), spi.I64(2)},
+		})
+		if err != nil {
+			return err
+		}
+		var got []string
+		for _, r := range rows {
+			got = append(got, fmt.Sprintf("%d/%d", r[0].Int64(), r[1].Int64()))
+		}
+		if fmt.Sprint(got) != "[1/2 1/5 2/1 2/3]" {
+			t.Errorf("GetMany order = %v, want [1/2 1/5 2/1 2/3]", got)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Negative values sort below positive ones: the order is the signed
+	// value order the key encoding preserves.
+	rng := rand.New(rand.NewSource(1))
+	keys := make([][]spi.Value, 64)
+	for i := range keys {
+		keys[i] = []spi.Value{spi.I64(int64(rng.Intn(5) - 2)), spi.I64(int64(rng.Intn(1000) - 500))}
+	}
+	sorted := sortByKey(keys)
+	for i := 1; i < len(sorted); i++ {
+		a, b := sorted[i-1].vals, sorted[i].vals
+		if a[0].Compare(b[0]) > 0 || (a[0].Equal(b[0]) && a[1].Compare(b[1]) > 0) {
+			t.Fatalf("sortByKey out of order at %d: %v before %v", i, a, b)
+		}
+		if sorted[i].pk != spi.EncodeKey(b...) {
+			t.Fatalf("sortByKey paired %v with the wrong key", b)
+		}
+	}
+	// One encoding per key plus the result slice; encoding inside the
+	// comparator cost O(n log n).
+	if n := testing.AllocsPerRun(50, func() { sortByKey(keys) }); n > float64(len(keys)+1) {
+		t.Errorf("sortByKey(%d keys): %.0f allocs, want ≤ %d", len(keys), n, len(keys)+1)
 	}
 }
 

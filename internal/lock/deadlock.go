@@ -1,6 +1,11 @@
 package lock
 
-import "accdb/internal/trace"
+import (
+	"slices"
+	"sync"
+
+	"accdb/internal/trace"
+)
 
 // Deadlock handling (§3.4 of the paper).
 //
@@ -27,12 +32,22 @@ import "accdb/internal/trace"
 //   - a cycle that dissolves mid-walk can at worst produce a spurious
 //     victim, which is safe: the victim aborts and retries its step, the
 //     same outcome as any genuine deadlock.
+//
+// The search runs every time a request blocks, so it allocates nothing in
+// steady state: its visited set, blocker stack and path come from a
+// sync.Pool. Each visited waiter appends its blockers onto the one shared
+// stack under its own shard latch, duplicates included; a repeated blocker
+// is skipped by the visited check, so the walk visits nodes in the same
+// order as a per-node deduplicated blocker list would, and finds the same
+// cycle and victim.
 
 // resolveDeadlock checks whether the freshly enqueued waiter w completes a
 // waits-for cycle and applies the victim policy. It returns ErrDeadlock if w
 // itself must abort. Called with no latches held; w must already be
 // published in the registry.
 func (m *Manager) resolveDeadlock(w *waiter) error {
+	s := searchPool.Get().(*cycleSearch)
+	defer s.release()
 	for {
 		w.sh.mu.Lock()
 		settled := w.granted || w.err != nil
@@ -41,25 +56,13 @@ func (m *Manager) resolveDeadlock(w *waiter) error {
 			// Removing a victim re-ran the grant pass and resolved w.
 			return nil
 		}
-		cycle := m.findCycle(w)
+		cycle := s.find(m, w)
 		if cycle == nil {
 			return nil
 		}
 		w.sh.stats.deadlocks.Add(1)
-		if !w.req.Compensating {
-			return ErrDeadlock
-		}
-		victim := (*waiter)(nil)
-		for _, v := range cycle {
-			if v != w && !v.req.Compensating {
-				victim = v
-				break
-			}
-		}
-		if victim == nil {
-			// Every member of the cycle is compensating. The reservation
-			// locks are designed to make this impossible; if it happens the
-			// compensating requester aborts to keep the system live.
+		victim := victimOf(w, cycle)
+		if victim == nil || victim == w {
 			return ErrDeadlock
 		}
 		vs := victim.sh
@@ -81,72 +84,109 @@ func (m *Manager) resolveDeadlock(w *waiter) error {
 	}
 }
 
-// findCycle searches for a waits-for path from one of w's blockers back to
-// w's transaction. It returns the waiters on the cycle (starting with w), or
-// nil. Called with no latches held.
-func (m *Manager) findCycle(w *waiter) []*waiter {
-	target := w.txn.ID
-	visited := make(map[TxnID]bool)
-	var path []*waiter
-	var dfs func(cur *waiter) bool
-	dfs = func(cur *waiter) bool {
-		path = append(path, cur)
-		for _, b := range m.blockerTxns(cur) {
-			if b == target {
-				return true
-			}
-			if visited[b] {
-				continue
-			}
-			visited[b] = true
-			if next := m.reg.get(b); next != nil {
-				if dfs(next) {
-					return true
-				}
-			}
-		}
-		path = path[:len(path)-1]
-		return false
+// victimOf applies the §3.4 victim rule to a cycle closed by w: w itself,
+// unless it is a compensating step, in which case the first forward-step
+// member of the cycle. It returns nil when every member is compensating —
+// the reservation locks are designed to make that impossible; if it happens
+// the compensating requester aborts to keep the system live.
+func victimOf(w *waiter, cycle []*waiter) *waiter {
+	if !w.req.Compensating {
+		return w
 	}
-	if dfs(w) {
-		return path
+	for _, v := range cycle {
+		if v != w && !v.req.Compensating {
+			return v
+		}
 	}
 	return nil
 }
 
-// blockerTxns lists the transactions w currently waits for: holders of
-// conflicting grants on its item, and earlier conflicting waiters in its
-// queue. It takes (and releases) w's shard latch; a waiter that has already
-// been granted or aborted contributes no edges.
-func (m *Manager) blockerTxns(w *waiter) []TxnID {
+// cycleSearch is the scratch state of one deadlock search, recycled through
+// searchPool.
+type cycleSearch struct {
+	target  TxnID
+	visited map[TxnID]bool
+	// stack holds the blockers of every waiter on the current path, each
+	// waiter's run appended above its caller's and truncated on backtrack.
+	stack []TxnID
+	path  []*waiter
+}
+
+var searchPool = sync.Pool{New: func() any {
+	return &cycleSearch{visited: make(map[TxnID]bool)}
+}}
+
+// release returns the scratch state to the pool. The path is zeroed so the
+// pool does not keep finished waiters reachable; find resets the rest.
+func (s *cycleSearch) release() {
+	clear(s.path[:cap(s.path)])
+	searchPool.Put(s)
+}
+
+// find searches for a waits-for path from one of w's blockers back to w's
+// transaction. It returns the waiters on the cycle (starting with w), or
+// nil; the slice is scratch owned by s and valid until the next find or
+// release. Called with no latches held.
+func (s *cycleSearch) find(m *Manager, w *waiter) []*waiter {
+	clear(s.visited)
+	s.path, s.stack = s.path[:0], s.stack[:0]
+	s.target = w.txn.ID
+	if s.dfs(m, w) {
+		return s.path
+	}
+	return nil
+}
+
+func (s *cycleSearch) dfs(m *Manager, cur *waiter) bool {
+	s.path = append(s.path, cur)
+	base := len(s.stack)
+	s.stack = m.appendBlockerTxns(s.stack, cur)
+	// Deeper frames append above end and truncate back before returning,
+	// so this frame's run stays at [base, end) even if the stack regrows.
+	for i, end := base, len(s.stack); i < end; i++ {
+		b := s.stack[i]
+		if b == s.target {
+			return true
+		}
+		if s.visited[b] {
+			continue
+		}
+		s.visited[b] = true
+		if next := m.reg.get(b); next != nil && s.dfs(m, next) {
+			return true
+		}
+	}
+	s.stack = s.stack[:base]
+	s.path = s.path[:len(s.path)-1]
+	return false
+}
+
+// appendBlockerTxns appends the transactions w currently waits for to dst:
+// holders of conflicting grants on its item, and earlier conflicting waiters
+// in its queue. It takes (and releases) w's shard latch; a waiter that has
+// already been granted or aborted contributes no edges.
+func (m *Manager) appendBlockerTxns(dst []TxnID, w *waiter) []TxnID {
 	sh := w.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if w.granted || w.err != nil {
-		return nil
+		return dst
 	}
 	st, ok := sh.items[w.item]
 	if !ok {
-		return nil
+		return dst
 	}
-	return m.blockersLocked(w, st)
+	return m.appendBlockersLocked(dst, w, st)
 }
 
-// blockersLocked computes w's current blockers from its item's state. Caller
-// holds w's shard latch. Shared by deadlock detection and the waits-for
-// snapshot (snapshot.go).
-func (m *Manager) blockersLocked(w *waiter, st *lockState) []TxnID {
-	seen := make(map[TxnID]bool)
-	var out []TxnID
-	add := func(id TxnID) {
-		if id != w.txn.ID && !seen[id] {
-			seen[id] = true
-			out = append(out, id)
-		}
-	}
+// appendBlockersLocked appends w's current blockers to dst in grant-then-
+// queue order. A transaction holding several conflicting entries appears
+// once per entry; w's own transaction never appears (same-transaction
+// entries do not conflict). Caller holds w's shard latch.
+func (m *Manager) appendBlockersLocked(dst []TxnID, w *waiter, st *lockState) []TxnID {
 	for _, g := range st.grants {
 		if m.conflictsWithGrant(w.txn, w.req, g) {
-			add(g.txn.ID)
+			dst = append(dst, g.txn.ID)
 		}
 	}
 	for _, q := range st.queue {
@@ -154,7 +194,21 @@ func (m *Manager) blockersLocked(w *waiter, st *lockState) []TxnID {
 			break
 		}
 		if q.err == nil && !q.granted && m.conflictsWithWaiter(w.txn, w.req, q) {
-			add(q.txn.ID)
+			dst = append(dst, q.txn.ID)
+		}
+	}
+	return dst
+}
+
+// blockersLocked lists w's distinct current blockers in order of first
+// appearance, for the waits-for snapshot (snapshot.go). Caller holds w's
+// shard latch.
+func (m *Manager) blockersLocked(w *waiter, st *lockState) []TxnID {
+	all := m.appendBlockersLocked(nil, w, st)
+	out := all[:0]
+	for _, id := range all {
+		if !slices.Contains(out, id) {
+			out = append(out, id)
 		}
 	}
 	return out

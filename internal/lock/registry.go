@@ -9,7 +9,7 @@ import "sync"
 //
 // The registry holds only the txn → waiter association. The waits-for
 // *edges* are not materialised here: they are recomputed from the owning
-// shard's queues under that shard's latch (see blockerTxns), so detection
+// shard's queues under that shard's latch (see appendBlockerTxns), so detection
 // always sees current blockers instead of a stale published snapshot.
 //
 // Locking: the registry mutex is a leaf — it is never held while taking a

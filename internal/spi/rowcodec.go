@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // MarshalRow appends a compact binary encoding of row to dst and returns the
@@ -32,8 +33,16 @@ func MarshalRow(dst []byte, row Row) []byte {
 }
 
 // UnmarshalRow decodes one row from b, returning the row and the number of
-// bytes consumed.
-func UnmarshalRow(b []byte) (Row, int, error) {
+// bytes consumed. String columns are copied out of b.
+func UnmarshalRow(b []byte) (Row, int, error) { return unmarshalRow(b, false) }
+
+// UnmarshalRowShared is UnmarshalRow with string columns pointing into b
+// instead of copied out of it, so a row costs one allocation however many
+// strings it holds. b must never be modified afterwards: backends use it to
+// decode the immutable encodings they store.
+func UnmarshalRowShared(b []byte) (Row, int, error) { return unmarshalRow(b, true) }
+
+func unmarshalRow(b []byte, shared bool) (Row, int, error) {
 	n, sz := binary.Uvarint(b)
 	// Each column costs at least one byte, so a count beyond the remaining
 	// bytes is garbage; the bound also keeps the allocation below sane.
@@ -69,10 +78,14 @@ func UnmarshalRow(b []byte) (Row, int, error) {
 				return nil, 0, fmt.Errorf("spi: bad string length")
 			}
 			off += sz
-			if off+int(l) > len(b) {
+			if l > uint64(len(b)-off) {
 				return nil, 0, fmt.Errorf("spi: truncated string column")
 			}
-			row = append(row, Str(string(b[off:off+int(l)])))
+			if shared {
+				row = append(row, Str(unsafe.String(unsafe.SliceData(b[off:]), int(l))))
+			} else {
+				row = append(row, Str(string(b[off:off+int(l)])))
+			}
 			off += int(l)
 		default:
 			return nil, 0, fmt.Errorf("spi: bad column kind 0x%02x", byte(kind))

@@ -7,9 +7,11 @@
 //	}
 //
 // The suite exercises everything the scheduler relies on — CRUD with exact
-// pre-image capture, the sentinel errors, secondary-index ordering, and the
+// pre-image capture, the sentinel errors, secondary-index ordering, the
 // full version-chain protocol behind the lock-free read tiers (seeding,
-// publication, as-of resolution, pruning) — but deliberately nothing more:
+// publication, as-of resolution, pruning), row ownership (every read
+// returns a private row, no write keeps the caller's) and bit-exact
+// round-trips of edge values — but deliberately nothing more:
 // anything not tested here is not part of the contract, and a backend is
 // free to implement it any way it likes. Both bundled backends (storage,
 // memstore) pass this suite verbatim.
@@ -18,6 +20,8 @@ package spitest
 import (
 	"errors"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"accdb/internal/spi"
@@ -45,6 +49,10 @@ func Run(t *testing.T, open func() spi.Store) {
 		{"IndexScanAsOf", testIndexScanAsOf},
 		{"PruneVersions", testPruneVersions},
 		{"ResetVersions", testResetVersions},
+		{"PrivateRows", testPrivateRows},
+		{"CallerRowsNotAliased", testCallerRowsNotAliased},
+		{"EdgeValues", testEdgeValues},
+		{"PruneVersionsExact", testPruneVersionsExact},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) { tc.fn(t, open()) })
@@ -513,5 +521,282 @@ func testResetVersions(t *testing.T, s spi.Store) {
 	}
 	if got, err := tab.GetAsOf(pk(1), 0); err != nil || !got.Equal(row(1, 10, "v0")) {
 		t.Fatalf("GetAsOf after reset = %v, %v; want the base row", got, err)
+	}
+}
+
+// mutateRow overwrites every column of a returned row, as a careless caller
+// might; a conforming backend must not notice.
+func mutateRow(_ spi.Key, r spi.Row) bool {
+	for i := range r {
+		r[i] = spi.Str("mutated")
+	}
+	return true
+}
+
+// Rows handed out by every read path are private copies: mutating them
+// changes neither the base rows nor any version.
+func testPrivateRows(t *testing.T, s spi.Store) {
+	tab := mkTable(t, s)
+	if err := tab.AddIndex(spi.IndexDef{Name: "by_grp", Columns: []string{"grp"}}); err != nil {
+		t.Fatalf("AddIndex: %v", err)
+	}
+	insert(t, tab, row(1, 10, "a"), row(2, 10, "b"))
+	tab.ResetVersions()
+	// Key 2 gets a chain (seed b@0, b2@10); key 1 reads fall back to the
+	// base row.
+	if _, err := tab.Update(pk(2), row(2, 10, "b2")); err != nil {
+		t.Fatalf("Update: %v", err)
+	}
+	tab.PublishVersion(pk(2), row(2, 10, "b"), row(2, 10, "b2"), 10)
+
+	check := func(after string) {
+		t.Helper()
+		for _, tc := range []struct {
+			id   int64
+			asOf spi.CSN
+			want spi.Row
+		}{
+			{1, spi.MaxCSN, row(1, 10, "a")},
+			{2, spi.MaxCSN, row(2, 10, "b2")},
+			{1, 10, row(1, 10, "a")},
+			{2, 10, row(2, 10, "b2")},
+			{2, 5, row(2, 10, "b")},
+		} {
+			var got spi.Row
+			var err error
+			if tc.asOf == spi.MaxCSN {
+				got, err = tab.Get(pk(tc.id))
+			} else {
+				got, err = tab.GetAsOf(pk(tc.id), tc.asOf)
+			}
+			if err != nil || !got.Equal(tc.want) {
+				t.Fatalf("after mutating rows from %s: key %d as of %d = %v, %v; want %v",
+					after, tc.id, tc.asOf, got, err, tc.want)
+			}
+		}
+	}
+	tab.Scan(mutateRow)
+	check("Scan")
+	if err := tab.IndexScan("by_grp", []spi.Value{spi.I64(10)}, mutateRow); err != nil {
+		t.Fatalf("IndexScan: %v", err)
+	}
+	check("IndexScan")
+	if err := tab.IndexRange("by_grp", []spi.Value{spi.I64(0)}, nil, mutateRow); err != nil {
+		t.Fatalf("IndexRange: %v", err)
+	}
+	check("IndexRange")
+	for _, asOf := range []spi.CSN{5, 10} {
+		for id := int64(1); id <= 2; id++ {
+			if r, err := tab.GetAsOf(pk(id), asOf); err == nil {
+				mutateRow(pk(id), r)
+			}
+		}
+	}
+	check("GetAsOf")
+	tab.ScanAsOf(5, mutateRow)
+	tab.ScanAsOf(10, mutateRow)
+	check("ScanAsOf")
+	if err := tab.IndexScanAsOf("by_grp", []spi.Value{spi.I64(10)}, 5, mutateRow); err != nil {
+		t.Fatalf("IndexScanAsOf: %v", err)
+	}
+	check("IndexScanAsOf")
+	for id := int64(1); id <= 2; id++ {
+		if r, err := tab.Get(pk(id)); err == nil {
+			mutateRow(pk(id), r)
+		}
+	}
+	check("Get")
+}
+
+// A backend must not keep the row a caller passed to a write: mutating it
+// after the call changes nothing that is stored, indexed or versioned.
+func testCallerRowsNotAliased(t *testing.T, s spi.Store) {
+	tab := mkTable(t, s)
+	if err := tab.AddIndex(spi.IndexDef{Name: "by_grp", Columns: []string{"grp"}}); err != nil {
+		t.Fatalf("AddIndex: %v", err)
+	}
+	expect := func(id int64, want spi.Row, after string) {
+		t.Helper()
+		if got, err := tab.Get(pk(id)); err != nil || !got.Equal(want) {
+			t.Fatalf("after mutating the row passed to %s: Get(%d) = %v, %v; want %v", after, id, got, err, want)
+		}
+		var ids []int64
+		tab.IndexScan("by_grp", []spi.Value{want[1]}, func(_ spi.Key, r spi.Row) bool {
+			ids = append(ids, r[0].Int64())
+			return true
+		})
+		if fmt.Sprint(ids) != fmt.Sprint([]int64{id}) {
+			t.Fatalf("after mutating the row passed to %s: by_grp=%v finds %v, want [%d]", after, want[1], ids, id)
+		}
+	}
+
+	r := row(1, 10, "a")
+	insert(t, tab, r)
+	mutateRow("", r)
+	expect(1, row(1, 10, "a"), "Insert")
+
+	r = row(1, 20, "b")
+	if _, err := tab.Update(pk(1), r); err != nil {
+		t.Fatalf("Update: %v", err)
+	}
+	mutateRow("", r)
+	expect(1, row(1, 20, "b"), "Update")
+
+	r = row(2, 30, "c")
+	tab.Apply(pk(2), r)
+	mutateRow("", r)
+	expect(2, row(2, 30, "c"), "Apply")
+
+	prior, r := row(1, 20, "b"), row(1, 20, "b")
+	tab.PublishVersion(pk(1), prior, r, 10)
+	mutateRow("", prior)
+	mutateRow("", r)
+	if got, err := tab.GetAsOf(pk(1), 10); err != nil || !got.Equal(row(1, 20, "b")) {
+		t.Fatalf("after mutating the rows passed to PublishVersion: GetAsOf = %v, %v", got, err)
+	}
+}
+
+// edgesSchema covers every column kind with room for extreme values.
+func edgesSchema() *spi.Schema {
+	return spi.MustSchema("edges", []spi.Column{
+		{Name: "id", Kind: spi.KindInt},
+		{Name: "f", Kind: spi.KindFloat},
+		{Name: "n", Kind: spi.KindInt},
+		{Name: "s", Kind: spi.KindString},
+	}, "id")
+}
+
+// longString is 4 KiB covering every byte value, NUL included.
+func longString(last byte) string {
+	var b strings.Builder
+	for i := 0; i < 4095; i++ {
+		b.WriteByte(byte(i))
+	}
+	b.WriteByte(last)
+	return b.String()
+}
+
+// sameBits compares rows bit for bit: unlike Row.Equal it tells -0 from +0
+// and matches NaN with NaN.
+func sameBits(a, b spi.Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].K != b[i].K {
+			return false
+		}
+		switch a[i].K {
+		case spi.KindFloat:
+			if math.Float64bits(a[i].F) != math.Float64bits(b[i].F) {
+				return false
+			}
+		default:
+			if !a[i].Equal(b[i]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Edge values must come back bit-exact from every path: base rows, scans,
+// as-of reads, and the pre-images Update and Delete return.
+func testEdgeValues(t *testing.T, s spi.Store) {
+	tab, err := s.Create(edgesSchema())
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	edgeRows := []spi.Row{
+		{spi.I64(math.MinInt64), spi.F64(math.NaN()), spi.I64(math.MinInt64), spi.Str("")},
+		{spi.I64(math.MaxInt64), spi.F64(math.Copysign(0, -1)), spi.I64(math.MaxInt64), spi.Str(longString(0))},
+		{spi.I64(0), spi.F64(math.Inf(-1)), spi.I64(-1), spi.Str("\x00")},
+		{spi.I64(1), spi.F64(math.SmallestNonzeroFloat64), spi.I64(0), spi.Str("ü\xff")},
+	}
+	byID := map[int64]spi.Row{}
+	for _, r := range edgeRows {
+		if err := tab.Insert(r); err != nil {
+			t.Fatalf("Insert(%v): %v", r[0], err)
+		}
+		byID[r[0].Int64()] = r
+	}
+	tab.ResetVersions()
+	for _, want := range edgeRows {
+		key := spi.EncodeKey(want[0])
+		if got, err := tab.Get(key); err != nil || !sameBits(got, want) {
+			t.Fatalf("Get(%v) = %v, %v; want %v", want[0], got, err, want)
+		}
+		if got, err := tab.GetAsOf(key, 1); err != nil || !sameBits(got, want) {
+			t.Fatalf("GetAsOf(%v) = %v, %v; want %v", want[0], got, err, want)
+		}
+	}
+	seen := 0
+	tab.Scan(func(_ spi.Key, r spi.Row) bool {
+		if !sameBits(r, byID[r[0].Int64()]) {
+			t.Fatalf("Scan returned %v, want %v", r, byID[r[0].Int64()])
+		}
+		seen++
+		return true
+	})
+	if seen != len(edgeRows) {
+		t.Fatalf("Scan visited %d rows, want %d", seen, len(edgeRows))
+	}
+
+	// An update that changes only the sign of a zero is a real change, and
+	// the pre-image keeps the sign it had.
+	key := spi.EncodeKey(spi.I64(math.MaxInt64))
+	posZero := spi.Row{spi.I64(math.MaxInt64), spi.F64(0), spi.I64(math.MaxInt64), spi.Str(longString(0))}
+	old, err := tab.Update(key, posZero)
+	if err != nil || !sameBits(old, edgeRows[1]) {
+		t.Fatalf("Update pre-image = %v, %v; want %v", old, err, edgeRows[1])
+	}
+	if got, _ := tab.Get(key); !sameBits(got, posZero) {
+		t.Fatalf("after -0 → +0 Update: Get = %v, want +0", got[1])
+	}
+	if got, _ := tab.GetAsOf(key, 1); !sameBits(got, edgeRows[1]) {
+		t.Fatalf("after -0 → +0 Update: seeded pre-image = %v, want -0", got[1])
+	}
+	old, err = tab.Delete(spi.EncodeKey(spi.I64(math.MinInt64)))
+	if err != nil || !sameBits(old, edgeRows[0]) {
+		t.Fatalf("Delete pre-image = %v, %v; want %v", old, err, edgeRows[0])
+	}
+}
+
+// Pruning decides "chain equals base row" exactly: a chain identical to a
+// long base row is dropped, one differing in a single trailing byte or in
+// the last bit of an extreme integer is kept.
+func testPruneVersionsExact(t *testing.T, s spi.Store) {
+	tab, err := s.Create(edgesSchema())
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	mk := func(n int64, last byte) spi.Row {
+		return spi.Row{spi.I64(1), spi.F64(1.5), spi.I64(n), spi.Str(longString(last))}
+	}
+	key := spi.EncodeKey(spi.I64(1))
+	if err := tab.Insert(mk(math.MaxInt64, 'a')); err != nil {
+		t.Fatalf("Insert: %v", err)
+	}
+	tab.ResetVersions()
+
+	if _, err := tab.Update(key, mk(math.MaxInt64, 'b')); err != nil {
+		t.Fatalf("Update: %v", err)
+	}
+	tab.PublishVersion(key, mk(math.MaxInt64, 'a'), mk(math.MaxInt64, 'b'), 10)
+	if pruned, dropped := tab.PruneVersions(20); pruned != 2 || dropped != 1 {
+		t.Fatalf("PruneVersions over a quiescent chain = (%d, %d), want (2, 1)", pruned, dropped)
+	}
+
+	for _, next := range []spi.Row{mk(math.MaxInt64, 'c'), mk(math.MaxInt64-1, 'c')} {
+		tab.ResetVersions()
+		if _, err := tab.Update(key, next); err != nil { // seeds the previous value, unpublished
+			t.Fatalf("Update: %v", err)
+		}
+		if _, dropped := tab.PruneVersions(20); dropped != 0 {
+			t.Fatalf("PruneVersions dropped a chain whose base row differs (n=%d)", next[2].Int64())
+		}
+		if n := tab.ChainLen(key); n != 1 {
+			t.Fatalf("ChainLen = %d, want 1", n)
+		}
 	}
 }

@@ -3,6 +3,14 @@
 // secondary indexes, and per-key version chains for the lock-free read
 // tiers. It registers itself under the backend name "btree".
 //
+// Base rows are stored packed: each is its exact-size spi.MarshalRow
+// encoding, a pointer-free byte slice the garbage collector never scans,
+// the way the paper's Ingres substrate stored tuples as bytes on pages.
+// Reads decode a private Row for the caller; writes encode the row they are
+// given, so a caller's row is never aliased by the store. Version chains
+// keep decoded rows (version.go). The scheduler above the SPI never sees
+// the layout.
+//
 // The package plays the role that CA-Open Ingres's storage layer played in
 // the paper: it stores tuples and hands out stable item identities that the
 // lock service and the schedulers lock. The storage layer itself provides
@@ -11,7 +19,9 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 
@@ -31,7 +41,7 @@ type Table struct {
 	schema *Schema
 
 	mu      sync.RWMutex
-	rows    map[Key]Row
+	rows    map[Key][]byte // packed rows (pack/unpack)
 	indexes []*secondaryIndex
 	// versions holds per-key version chains for the lock-free read tiers
 	// (version.go): ascending CSN order, seeded with the key's pre-image on
@@ -47,7 +57,39 @@ type secondaryIndex struct {
 
 // NewTable creates an empty table for the schema.
 func NewTable(schema *Schema) *Table {
-	return &Table{schema: schema, rows: make(map[Key]Row)}
+	return &Table{schema: schema, rows: make(map[Key][]byte)}
+}
+
+// packBuf sizes the stack buffer pack encodes into; only rows larger than it
+// (long strings) cost a second allocation.
+const packBuf = 1024
+
+// pack encodes row as an exact-size packed row. It needs no latch: the
+// encoding goes through a stack buffer, so the result is the only
+// allocation.
+func pack(row Row) []byte {
+	var buf [packBuf]byte
+	b := spi.MarshalRow(buf[:0], row)
+	p := make([]byte, len(b))
+	copy(p, b)
+	return p
+}
+
+// samePacked reports whether row encodes to exactly the packed row p.
+func samePacked(row Row, p []byte) bool {
+	var buf [packBuf]byte
+	return bytes.Equal(spi.MarshalRow(buf[:0], row), p)
+}
+
+// unpack decodes a packed row into a Row the caller owns. Its strings share
+// p's bytes, which is safe because a packed row is never modified: writes
+// replace it with a new one.
+func unpack(p []byte) Row {
+	row, _, err := spi.UnmarshalRowShared(p)
+	if err != nil {
+		panic("storage: corrupt packed row: " + err.Error())
+	}
+	return row
 }
 
 // Schema describes the relation; immutable after construction.
@@ -66,8 +108,8 @@ func (t *Table) AddIndex(def IndexDef) error {
 		cols[i] = c
 	}
 	idx := &secondaryIndex{def: def, cols: cols, tree: NewBTree()}
-	for pk, row := range t.rows {
-		idx.tree.Set(idx.entryKey(row, pk), pk)
+	for pk, p := range t.rows {
+		idx.tree.Set(idx.entryKey(unpack(p), pk), pk)
 	}
 	t.indexes = append(t.indexes, idx)
 	return nil
@@ -89,6 +131,20 @@ func (ix *secondaryIndex) entryKey(row Row, pk Key) Key {
 	return Key(b.String())
 }
 
+// keepsEntry reports whether two images of a row agree bit for bit on
+// every indexed column, so their index entries are equal and an update
+// need not build either. Floats compare by bit pattern: -0 and +0 encode
+// differently.
+func (ix *secondaryIndex) keepsEntry(a, b Row) bool {
+	for _, c := range ix.cols {
+		x, y := a[c], b[c]
+		if x.K != y.K || x.I != y.I || x.S != y.S || math.Float64bits(x.F) != math.Float64bits(y.F) {
+			return false
+		}
+	}
+	return true
+}
+
 // Len returns the number of rows.
 func (t *Table) Len() int {
 	t.mu.RLock()
@@ -100,11 +156,11 @@ func (t *Table) Len() int {
 func (t *Table) Get(pk Key) (Row, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	row, ok := t.rows[pk]
+	p, ok := t.rows[pk]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, t.schema.Name)
 	}
-	return row.Clone(), nil
+	return unpack(p), nil
 }
 
 // Exists reports whether a primary key is present.
@@ -121,14 +177,14 @@ func (t *Table) Insert(row Row) error {
 		return err
 	}
 	pk := t.schema.KeyOf(row)
+	p := pack(row)
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if _, ok := t.rows[pk]; ok {
 		return fmt.Errorf("%w: %s %v", ErrDuplicate, t.schema.Name, t.schema.PKOf(row))
 	}
 	t.seedVersionLocked(pk, nil)
-	row = row.Clone()
-	t.rows[pk] = row
+	t.rows[pk] = p
 	for _, ix := range t.indexes {
 		ix.tree.Set(ix.entryKey(row, pk), pk)
 	}
@@ -144,16 +200,20 @@ func (t *Table) Update(pk Key, row Row) (Row, error) {
 	if t.schema.KeyOf(row) != pk {
 		return nil, fmt.Errorf("storage: update changes primary key of %s", t.schema.Name)
 	}
+	p := pack(row)
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	old, ok := t.rows[pk]
+	oldP, ok := t.rows[pk]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, t.schema.Name)
 	}
+	old := unpack(oldP)
 	t.seedVersionLocked(pk, old)
-	row = row.Clone()
-	t.rows[pk] = row
+	t.rows[pk] = p
 	for _, ix := range t.indexes {
+		if ix.keepsEntry(old, row) {
+			continue
+		}
 		oldEntry, newEntry := ix.entryKey(old, pk), ix.entryKey(row, pk)
 		if oldEntry != newEntry {
 			ix.tree.Delete(oldEntry)
@@ -167,10 +227,11 @@ func (t *Table) Update(pk Key, row Row) (Row, error) {
 func (t *Table) Delete(pk Key) (Row, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	old, ok := t.rows[pk]
+	oldP, ok := t.rows[pk]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, t.schema.Name)
 	}
+	old := unpack(oldP)
 	t.seedVersionLocked(pk, old)
 	delete(t.rows, pk)
 	for _, ix := range t.indexes {
@@ -183,9 +244,17 @@ func (t *Table) Delete(pk Key) (Row, error) {
 // deletes pk, otherwise the row is upserted. No index entry is required to
 // pre-exist.
 func (t *Table) Apply(pk Key, row Row) {
+	var p []byte
+	if row != nil {
+		p = pack(row)
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	old, had := t.rows[pk]
+	oldP, had := t.rows[pk]
+	var old Row
+	if had {
+		old = unpack(oldP)
+	}
 	if row == nil {
 		if !had {
 			return
@@ -197,13 +266,8 @@ func (t *Table) Apply(pk Key, row Row) {
 		}
 		return
 	}
-	if had {
-		t.seedVersionLocked(pk, old)
-	} else {
-		t.seedVersionLocked(pk, nil)
-	}
-	row = row.Clone()
-	t.rows[pk] = row
+	t.seedVersionLocked(pk, old)
+	t.rows[pk] = p
 	for _, ix := range t.indexes {
 		if had {
 			ix.tree.Delete(ix.entryKey(old, pk))
@@ -217,8 +281,8 @@ func (t *Table) Apply(pk Key, row Row) {
 func (t *Table) Scan(visit func(pk Key, row Row) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	for pk, row := range t.rows {
-		if !visit(pk, row.Clone()) {
+	for pk, p := range t.rows {
+		if !visit(pk, unpack(p)) {
 			return
 		}
 	}
@@ -234,11 +298,11 @@ func (t *Table) IndexScan(indexName string, eq []Value, visit func(pk Key, row R
 	}
 	prefix := EncodeKey(eq...)
 	ix.tree.AscendPrefix(prefix, func(_, pk Key) bool {
-		row, ok := t.rows[pk]
+		p, ok := t.rows[pk]
 		if !ok {
 			return true // entry/row race is impossible under the latch; defensive
 		}
-		return visit(pk, row.Clone())
+		return visit(pk, unpack(p))
 	})
 	return nil
 }
@@ -258,11 +322,11 @@ func (t *Table) IndexRange(indexName string, lo, hi []Value, visit func(pk Key, 
 		hiK = EncodeKey(hi...)
 	}
 	ix.tree.Ascend(loK, hiK, func(_, pk Key) bool {
-		row, ok := t.rows[pk]
+		p, ok := t.rows[pk]
 		if !ok {
 			return true
 		}
-		return visit(pk, row.Clone())
+		return visit(pk, unpack(p))
 	})
 	return nil
 }

@@ -1,11 +1,16 @@
 package storage
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
+
+	"accdb/internal/spi"
 )
 
 func TestValueConstructorsAndAccessors(t *testing.T) {
@@ -213,12 +218,36 @@ func TestMarshalRowQuick(t *testing.T) {
 func TestUnmarshalRowErrors(t *testing.T) {
 	row := Row{I64(1), Str("abc")}
 	buf := MarshalRow(nil, row)
-	for cut := 1; cut < len(buf); cut++ {
-		if _, _, err := UnmarshalRow(buf[:cut]); err == nil {
-			// Some prefixes decode as a shorter valid row only if the
-			// header still promises the full count; that must not happen.
-			t.Errorf("truncation at %d silently accepted", cut)
+	for _, decode := range []func([]byte) (Row, int, error){UnmarshalRow, spi.UnmarshalRowShared} {
+		for cut := 1; cut < len(buf); cut++ {
+			if _, _, err := decode(buf[:cut]); err == nil {
+				// Some prefixes decode as a shorter valid row only if the
+				// header still promises the full count; that must not happen.
+				t.Errorf("truncation at %d silently accepted", cut)
+			}
 		}
+		// A string length past the end of the input, even one that
+		// overflows int, is an error, not a panic.
+		for _, l := range []uint64{4, 1 << 63, math.MaxUint64} {
+			bad := binary.AppendUvarint([]byte{1, byte(KindString)}, l)
+			if _, _, err := decode(append(bad, "abc"...)); err == nil {
+				t.Errorf("string length %d over 3 bytes accepted", l)
+			}
+		}
+	}
+}
+
+// The shared decoder returns the same row; its strings point into the
+// input instead of copies of it.
+func TestUnmarshalRowShared(t *testing.T) {
+	row := Row{I64(-9), Str("hello"), F64(2.5), Str("")}
+	buf := MarshalRow(nil, row)
+	got, n, err := spi.UnmarshalRowShared(buf)
+	if err != nil || n != len(buf) || !got.Equal(row) {
+		t.Fatalf("UnmarshalRowShared = %v, %d, %v; want %v, %d", got, n, err, row, len(buf))
+	}
+	if unsafe.StringData(got[1].S) != &buf[bytes.Index(buf, []byte("hello"))] {
+		t.Error("string column was copied out of the input")
 	}
 }
 

@@ -76,11 +76,11 @@ func (t *Table) rowAsOfLocked(pk Key, asOf CSN) (Row, bool) {
 		}
 		return nil, false
 	}
-	row, ok := t.rows[pk]
+	p, ok := t.rows[pk]
 	if !ok {
 		return nil, false
 	}
-	return row.Clone(), true
+	return unpack(p), true
 }
 
 // ScanAsOf visits every key that exists as of asOf, in unspecified order,
@@ -136,9 +136,9 @@ func (t *Table) IndexScanAsOf(indexName string, eq []Value, asOf CSN, visit func
 // live snapshot may read at. Each chain is truncated to its newest version
 // stamped ≤ floor (that version still serves the oldest snapshot; everything
 // older is unreachable). A chain whose single surviving version is both ≤
-// floor and value-identical to the current base row is dropped entirely —
-// the key is quiescent, and the next mutation will re-seed it. The
-// value-equality condition is what makes dropping safe: it proves no
+// floor and encodes byte-for-byte to the current packed base row is dropped
+// entirely — the key is quiescent, and the next mutation will re-seed it.
+// The equality condition is what makes dropping safe: it proves no
 // uncommitted base-row overwrite is in flight, because any mutation would
 // have re-seeded a chain first. It returns the number of versions pruned and
 // chains dropped.
@@ -161,7 +161,7 @@ func (t *Table) PruneVersions(floor CSN) (pruned, dropped int) {
 		if len(chain) == 1 && chain[0].csn <= floor {
 			base, exists := t.rows[pk]
 			v := chain[0].row
-			if (v == nil && !exists) || (v != nil && exists && v.Equal(base)) {
+			if (v == nil && !exists) || (v != nil && exists && samePacked(v, base)) {
 				delete(t.versions, pk)
 				pruned++
 				dropped++
