@@ -55,44 +55,13 @@ func runFault(name string, nth uint64, seed int64, walDir string) {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			fatal(err)
 		}
-		// Coordinator points only fire in a partitioned deployment; they run
-		// through the partitioned harness (4 partitions, remote-heavy mix).
+		cfg := experiment.CrashConfig{Point: p, Nth: nth, Seed: seed, WALDir: dir}
 		if strings.HasPrefix(p.Name, "partition.") {
-			res, err := experiment.RunPartitionCrash(experiment.PartitionCrashConfig{
-				Point:  p,
-				Nth:    nth,
-				Seed:   seed,
-				WALDir: dir,
-			})
-			if err != nil {
-				fatal(fmt.Errorf("%s: %w", p.Name, err))
-			}
-			verdict := "ok"
-			if !res.Fired {
-				verdict = "DID NOT FIRE"
-			}
-			if len(res.Violations)+len(res.RerunViolations) > 0 {
-				verdict = "INCONSISTENT"
-			}
-			if verdict != "ok" {
-				failed++
-			}
-			fmt.Printf("%-28s fired=%-5v committed=%-5d compensated=%-4d forward=%-2d undone=%-2d rerun=%-5d %s\n",
-				p.Name, res.Fired, res.Committed, res.Compensated, res.ForwardDriven, res.Undone, res.RerunCompleted, verdict)
-			for _, v := range res.Violations {
-				fmt.Printf("%-28s recovered state: %v\n", "", v)
-			}
-			for _, v := range res.RerunViolations {
-				fmt.Printf("%-28s after re-run: %v\n", "", v)
-			}
-			continue
+			// Coordinator points only fire when transactions span
+			// partitions: run them on four.
+			cfg.Partitions = 4
 		}
-		res, err := experiment.RunCrash(experiment.CrashConfig{
-			Point:  p,
-			Nth:    nth,
-			Seed:   seed,
-			WALDir: dir,
-		})
+		res, err := experiment.RunCrash(cfg)
 		if err != nil {
 			fatal(fmt.Errorf("%s: %w", p.Name, err))
 		}
@@ -106,8 +75,8 @@ func runFault(name string, nth uint64, seed int64, walDir string) {
 		if verdict != "ok" {
 			failed++
 		}
-		fmt.Printf("%-28s fired=%-5v committed=%-5d compensated=%-4d rerun=%-5d %s\n",
-			p.Name, res.Fired, res.Committed, res.Compensated, res.RerunCompleted, verdict)
+		fmt.Printf("%-28s fired=%-5v committed=%-5d compensated=%-4d forward=%-2d undone=%-2d rerun=%-5d %s\n",
+			p.Name, res.Fired, res.Committed, res.Compensated, res.ForwardDriven, res.Undone, res.RerunCompleted, verdict)
 		if res.TornTail != nil {
 			fmt.Printf("%-28s torn tail at offset %d (%d bytes discarded)\n",
 				"", res.TornTail.Offset, res.TornTail.DiscardedBytes)

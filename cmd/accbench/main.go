@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -28,13 +29,16 @@ import (
 	"accdb/internal/trace"
 )
 
+// experiments are the -experiment names.
+var experiments = []string{"fig2", "fig3", "fig4", "servers", "ablation", "all"}
+
 // closeTrace flushes and closes the -trace output; set when tracing is on so
 // both the normal exit and fatal() finish the file.
 var closeTrace func()
 
 func main() {
 	var (
-		which    = flag.String("experiment", "all", "fig2 | fig3 | fig4 | servers | ablation | all")
+		which    = flag.String("experiment", "all", strings.Join(experiments, " | "))
 		duration = flag.Duration("duration", 6*time.Second, "measured interval per point per system")
 		warmup   = flag.Duration("warmup", 1*time.Second, "warmup before measuring")
 		think    = flag.Duration("think", 800*time.Millisecond, "mean terminal think time")
@@ -66,6 +70,9 @@ func main() {
 		remote   = flag.String("remote-pct", "10", "with -partitions: comma-separated remote-warehouse percentages of new-orders (each foreign-partition supply line runs as a remote shot)")
 	)
 	flag.Parse()
+	if !slices.Contains(experiments, *which) {
+		fatal(fmt.Errorf("unknown -experiment %q (valid: %s)", *which, strings.Join(experiments, ", ")))
+	}
 
 	tier, err := core.ParseReadTier(*tierName)
 	if err != nil {

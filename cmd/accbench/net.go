@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"fmt"
+	"os"
 	"sort"
 	"time"
 
@@ -43,6 +44,10 @@ func runNet(addr string, terminals, pool int, duration, warmup, think time.Durat
 	w.SetReadRunner(func(name string, args any, t core.ReadTier) error {
 		return cli.RunTier(context.Background(), name, args, t)
 	})
+	// Every generator starts payment history IDs at the same base, so two
+	// against one server would insert duplicate history keys. The pid gives
+	// each live process its own 2^40-wide range.
+	w.AdvanceHistoryID(int64(os.Getpid()) << 40)
 
 	fmt.Printf("== network TPC-C against %s: %d terminals, pool %d, read tier %s ==\n", addr, terminals, pool, tier)
 	res := sim.Run(sim.Config{
@@ -55,6 +60,8 @@ func runNet(addr string, terminals, pool int, duration, warmup, think time.Durat
 
 	total := res.Recorder.Total()
 	fmt.Printf("throughput %.1f txn/s  %s\n", res.Throughput(), total)
+	fmt.Printf("failed %d txns (errors=%d deadlocks=%d timeouts=%d)\n",
+		total.Errors+total.Deadlocks+total.Timeouts, total.Errors, total.Deadlocks, total.Timeouts)
 	st := cli.Stats()
 	fmt.Printf("client: requests=%d attempts=%d retries=%d transport_errors=%d\n",
 		st.Requests, st.Attempts, st.Retries, st.TransportErrors)

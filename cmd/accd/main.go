@@ -1,5 +1,7 @@
 // Command accd serves an ACC engine's registered transaction types over TCP.
-// It loads a deterministic TPC-C database at startup, listens on -addr with
+// It loads a deterministic TPC-C database at startup into a partition set of
+// -partitions engines (one by default: the single-engine deployment is the
+// one-partition set), listens on -addr with
 // the length-prefixed wire protocol (internal/server/wire), and admits at
 // most -max-inflight concurrent requests — beyond that clients get a fast
 // queue-full refusal instead of unbounded queueing.
@@ -42,9 +44,6 @@ import (
 	"accdb/internal/wal"
 )
 
-// The partition set serves the same wire protocol as a single engine.
-var _ server.Runner = (*partition.Set)(nil)
-
 func main() {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:7654", "listen address for the wire protocol")
@@ -52,7 +51,7 @@ func main() {
 		maxInFlight  = flag.Int("max-inflight", server.DefaultMaxInFlight, "admission bound on concurrently executing requests")
 		waitTimeout  = flag.Duration("wait-timeout", 10*time.Second, "lock-wait safety net")
 		force        = flag.Duration("force", 0, "simulated log force latency (memory log)")
-		walDir       = flag.String("wal-dir", "", "back the log with segment files in this directory")
+		walDir       = flag.String("wal-dir", "", "back each partition's log with segment files under this directory (partition p in <dir>/p<p>)")
 		groupCommit  = flag.Duration("group-commit", 0, "cross-session group-commit window: a force leader waits this long so concurrent commits share one log sync (0 disables)")
 		seed         = flag.Int64("seed", 1, "TPC-C load seed")
 		metricsAddr  = flag.String("metrics-addr", "", "serve /metrics, /debug/locks, /debug/waitsfor, /debug/anatomy and /debug/pprof on this address (e.g. :6061)")
@@ -103,71 +102,32 @@ func main() {
 		scale.Warehouses = *partitions
 	}
 
-	// buildEngine constructs one engine: partition p's shard of the database
-	// (p is -1 for the single-engine deployment), its own log under a
-	// per-partition subdirectory, its transaction types registered.
-	var logs []*wal.Log
-	buildEngine := func(p int) (*core.Engine, error) {
-		db := core.NewDB()
-		if err := tpcc.CreateSchema(db); err != nil {
-			return nil, err
-		}
-		if err := tpcc.LoadPartition(db, scale, *seed, max(p, 0), *partitions); err != nil {
-			return nil, err
-		}
-		types := tpcc.BuildTypes()
+	// Every deployment is a partition set; one partition is the plain
+	// single engine. Partition p logs under -wal-dir/p<p>.
+	set, err := tpcc.NewSet(*partitions, scale, *seed, func(p int) ([]core.Option, error) {
 		var dlog *wal.Log
 		if *walDir != "" {
-			dir := *walDir
-			if p >= 0 {
-				dir = filepath.Join(dir, fmt.Sprintf("p%d", p))
-			}
 			var err error
-			dlog, err = wal.Open(dir, wal.Options{ForceLatency: *force, GroupWindow: *groupCommit})
+			dlog, err = wal.Open(filepath.Join(*walDir, fmt.Sprintf("p%d", p)),
+				wal.Options{ForceLatency: *force, GroupWindow: *groupCommit})
 			if err != nil {
 				return nil, err
 			}
-			logs = append(logs, dlog)
 		}
-		opts := []core.Option{
+		return []core.Option{
 			core.WithMode(m),
 			core.WithWaitTimeout(*waitTimeout),
 			core.WithForceLatency(*force),
 			core.WithTracer(tr),
 			core.WithWAL(dlog),
-		}
-		if p >= 0 {
-			opts = append(opts, core.WithEngineLabel(fmt.Sprintf("partition %d", p)))
-		}
-		eng := core.New(db, types.Tables, opts...)
-		if _, err := tpcc.RegisterPartitioned(eng, types, scale, *partitions); err != nil {
-			return nil, err
-		}
-		return eng, nil
-	}
-
-	var (
-		eng *core.Engine   // partition 0's engine (debug endpoints, stats)
-		set *partition.Set // non-nil only when -partitions > 1
-	)
-	if *partitions > 1 {
-		var err error
-		set, err = partition.New(*partitions, buildEngine, partition.WithTracer(tr))
-		if err != nil {
-			fatal(err)
-		}
-		tpcc.InstallRoutes(set)
-		eng = set.Engine(0)
-	} else {
-		var err error
-		eng, err = buildEngine(-1)
-		if err != nil {
-			fatal(err)
-		}
+		}, nil
+	}, partition.WithTracer(tr))
+	if err != nil {
+		fatal(err)
 	}
 	defer func() {
-		for _, l := range logs {
-			l.Close()
+		for _, e := range set.Engines() {
+			e.Log().Close()
 		}
 	}()
 
@@ -188,14 +148,10 @@ func main() {
 		anatomy = trace.NewAnatomy(acfg)
 	}
 
-	var runner server.Runner = eng
-	if set != nil {
-		runner = set
-	}
 	protos := tpcc.ArgsPrototypes()
 	holes := tpcc.NewHoleTracker()
 	srv := server.New(server.Config{
-		Engine: runner,
+		Engine: set,
 		NewArgs: func(name string) any {
 			if f, ok := protos[name]; ok {
 				return f()
@@ -210,13 +166,11 @@ func main() {
 
 	if *metricsAddr != "" {
 		dbg := debughttp.New(tr, anatomy)
-		// Partitioned: the engine sections show partition 0 (every partition
-		// is symmetric); the set's own routing/coordinator series ride along.
-		dbg.SetEngine(eng)
+		// The engine sections show partition 0 (every partition is
+		// symmetric); the set's own routing/coordinator series ride along.
+		dbg.SetEngine(set.Engine(0))
 		dbg.SetRPCMetrics(srv.WriteMetrics)
-		if set != nil {
-			dbg.SetExtraMetrics(set.WriteMetrics)
-		}
+		dbg.SetExtraMetrics(set.WriteMetrics)
 		if err := dbg.Start(*metricsAddr); err != nil {
 			fatal(err)
 		}
@@ -253,36 +207,24 @@ func main() {
 	}
 	st := srv.Stats()
 	var es core.Stats
-	if set != nil {
-		for _, e := range set.Engines() {
-			s := e.Snapshot()
-			es.Commits += s.Commits
-			es.Compensations += s.Compensations
-		}
-		ps := set.Snapshot()
-		fmt.Fprintf(os.Stderr,
-			"accd: partition routing: single=%d cross_started=%d cross_committed=%d cross_aborted=%d shots=%d undos=%d deadlocks=%d\n",
-			ps.SingleRouted, ps.CrossStarted, ps.CrossCommitted, ps.CrossAborted,
-			ps.ShotsRun, ps.ShotUndos, ps.CrossDeadlocks)
-	} else {
-		es = eng.Snapshot()
+	dbs := make([]*core.DB, set.Partitions())
+	for p, e := range set.Engines() {
+		s := e.Snapshot()
+		es.Commits += s.Commits
+		es.Compensations += s.Compensations
+		dbs[p] = e.DB()
 	}
+	ps := set.Snapshot()
+	fmt.Fprintf(os.Stderr,
+		"accd: partition routing: single=%d cross_started=%d cross_committed=%d cross_aborted=%d shots=%d undos=%d deadlocks=%d\n",
+		ps.SingleRouted, ps.CrossStarted, ps.CrossCommitted, ps.CrossAborted,
+		ps.ShotsRun, ps.ShotUndos, ps.CrossDeadlocks)
 	fmt.Fprintf(os.Stderr,
 		"accd: drained: admitted=%d rejected_full=%d rejected_draining=%d commits=%d compensations=%d\n",
 		st.Admitted, st.RejectedFull, st.RejectedDraining, es.Commits, es.Compensations)
 
 	if *check {
-		var errs []error
-		if set != nil {
-			dbs := make([]*core.DB, set.Partitions())
-			for p := range dbs {
-				dbs[p] = set.Engine(p).DB()
-			}
-			errs = tpcc.CheckConsistencyPartitioned(dbs, scale, holes.Holes())
-		} else {
-			errs = tpcc.CheckConsistency(eng.DB(), scale, holes.Holes())
-		}
-		if len(errs) > 0 {
+		if errs := tpcc.CheckConsistencyPartitioned(dbs, scale, holes.Holes()); len(errs) > 0 {
 			for _, e := range errs {
 				fmt.Fprintln(os.Stderr, "accd: consistency violation:", e)
 			}

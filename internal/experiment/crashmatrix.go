@@ -1,14 +1,16 @@
 package experiment
 
-// The partitioned crash matrix: RunCrash lifted to a partition set. A
-// TPC-C mix with a high remote-warehouse share runs against N partitions,
-// each with its own engine and disk-backed log; a fault point — typically
-// one of the partition.coord.* points, which freeze EVERY partition's log
-// at once, the way a process kill would — trips mid-flight. Restart
-// rebuilds the set, runs per-partition recovery plus the coordinator's
-// decision-record completion pass, and verifies the consistency battery
-// (including the cross-partition stock condition) over the union of the
-// partition stores — then re-admits load and verifies again.
+// The crash matrix: for every registered fault injection point, run a TPC-C
+// mix against a disk-backed partition set — one partition by default, the
+// single-engine deployment — trip the point mid-load, restart (fresh base
+// state, reopened logs), recover, and verify the consistency battery over
+// the union of the partition stores; then re-admit load on the recovered
+// set and verify again. DESIGN.md §10 documents the protocol this harness
+// checks: recovery is only trusted because every durability transition has
+// been crashed through. The partition.coord.* points fire only when a
+// remote-heavy mix spans several partitions; they freeze EVERY partition's
+// log at once, the way a process kill would, and restart adds the
+// coordinator's decision-record completion pass to per-partition recovery.
 
 import (
 	"fmt"
@@ -26,68 +28,91 @@ import (
 	"accdb/internal/wal"
 )
 
-// PartitionCrashConfig parameterizes one partitioned crash-matrix case.
-type PartitionCrashConfig struct {
-	// Point is the injection point to trip (any registered point works; the
-	// partition.coord.* points only fire here, never in the single-engine
-	// matrix).
+// CrashConfig parameterizes one crash-matrix case.
+type CrashConfig struct {
+	// Point is the injection point to trip, with its natural effect
+	// (typically one entry of fault.Points()). The partition.coord.* points
+	// fire only with Partitions > 1.
 	Point fault.Info
-	// Nth fires the effect on the point's nth hit (default 3).
+	// Nth fires the effect on the point's nth hit (default 3 — past the
+	// trivial first-use cases).
 	Nth uint64
-	// Seed drives load, faults, and the initial database (deterministic).
+	// Seed drives the load generator, the fault controller, and the initial
+	// database load; one (point, seed, nth) triple replays exactly.
 	Seed int64
-	// WALDir is the parent directory; partition p logs under WALDir/p<p>.
+	// WALDir is the parent directory; partition p logs under WALDir/p<p>
+	// (required; caller owns cleanup).
 	WALDir string
-	// Partitions is the partition count (default 4). The scale's warehouse
+	// Partitions is the partition count (default 1). The scale's warehouse
 	// count is forced to at least this, so every partition owns a warehouse.
 	Partitions int
 	// Terminals is the concurrent driver count (default 8).
 	Terminals int
-	// MaxOps stops the doomed run if the point has not fired (default 4000).
+	// MaxOps stops the doomed run if the point has not fired after this many
+	// transactions (default 4000).
 	MaxOps int
-	// RerunOps is the post-recovery load (default 300).
+	// RerunOps is how many transactions the recovered set runs before the
+	// final consistency check (default 300).
 	RerunOps int
 	// RemotePercent is the share of new-orders with a remote supply line
 	// (default 25 — every such order on a foreign warehouse is a
-	// cross-partition transaction).
+	// cross-partition transaction; ignored with one warehouse).
 	RemotePercent int
 	// Scale is the database cardinality (default CrashScale with one
 	// warehouse per partition).
 	Scale tpcc.Scale
-	// SegmentSize is the per-partition WAL rotation threshold (default 32 KiB).
+	// SegmentSize is the per-partition WAL rotation threshold; kept small so
+	// rotation points get exercised (default 32 KiB).
 	SegmentSize int64
-	// GroupWindow is the WAL group-commit window (default 100 µs).
+	// GroupWindow is the WAL group-commit window; kept small but nonzero so
+	// the group-commit fault point gets exercised (default 100 µs).
 	GroupWindow time.Duration
 }
 
-// PartitionCrashResult reports one partitioned crash-matrix case.
-type PartitionCrashResult struct {
-	// Fired reports whether the armed point tripped.
+// CrashResult reports one crash-matrix case.
+type CrashResult struct {
+	// Fired reports whether the armed point actually tripped during the run
+	// (a Delay point counts as fired once it has been hit).
 	Fired bool
 	// Committed sums the committed transactions recovery found across all
 	// partition logs (remote shots count on their own partitions).
 	Committed int
-	// Compensated sums the transactions local recovery rolled back.
+	// Compensated sums the transactions local recovery rolled back by
+	// compensating step.
 	Compensated int
 	// ForwardDriven and Undone count the open decision records the
 	// coordinator pass closed each way.
 	ForwardDriven int
 	Undone        int
+	// TornTail is the first tail damage a reopened partition log reported,
+	// in partition order, if any.
+	TornTail *wal.ErrTornTail
 	// Violations is the consistency battery on the recovered, quiescent
 	// state, evaluated across every partition store.
 	Violations []error
-	// RerunCompleted and RerunViolations cover the post-recovery load.
+	// RerunCompleted and RerunViolations cover the post-recovery load: the
+	// recovered set must not merely hold a consistent state but keep
+	// producing them.
 	RerunCompleted  int
 	RerunViolations []error
 }
 
-type partitionCrashSystem struct {
-	set  *partition.Set
-	logs []*wal.Log
-	w    *tpcc.Workload
+// CrashScale is the default crash-matrix cardinality: small enough that a
+// case runs in well under a second, hot enough that the mix exercises
+// multi-step interleaving and compensation.
+func CrashScale() tpcc.Scale {
+	return tpcc.Scale{
+		Warehouses: 1, Districts: 4, CustomersPerDistrict: 20,
+		Items: 50, InitialOrdersPerDistrict: 20, NewOrderBacklog: 8,
+	}
 }
 
-func (sys *partitionCrashSystem) dbs() []*core.DB {
+type crashSystem struct {
+	set *partition.Set
+	w   *tpcc.Workload
+}
+
+func (sys *crashSystem) dbs() []*core.DB {
 	dbs := make([]*core.DB, sys.set.Partitions())
 	for p := range dbs {
 		dbs[p] = sys.set.Engine(p).DB()
@@ -95,70 +120,54 @@ func (sys *partitionCrashSystem) dbs() []*core.DB {
 	return dbs
 }
 
-func (sys *partitionCrashSystem) close() {
-	sys.set.Close()
-	for _, l := range sys.logs {
-		l.Close()
+// logs runs f on every partition's log.
+func (sys *crashSystem) logs(f func(*wal.Log)) {
+	for _, e := range sys.set.Engines() {
+		f(e.Log())
 	}
 }
 
-// buildPartitionCrashSystem assembles the partitioned system: per partition
-// a fresh base state (deterministic in cfg.Seed), its own log under
-// WALDir/p<p>, and a registered engine; then the routing table and a
-// remote-heavy workload bound to the set.
-func buildPartitionCrashSystem(cfg PartitionCrashConfig) (*partitionCrashSystem, error) {
-	sys := &partitionCrashSystem{}
-	set, err := partition.New(cfg.Partitions, func(p int) (*core.Engine, error) {
-		db := core.NewDB()
-		if err := tpcc.CreateSchema(db); err != nil {
-			return nil, err
-		}
-		if err := tpcc.LoadPartition(db, cfg.Scale, cfg.Seed, p, cfg.Partitions); err != nil {
-			return nil, err
-		}
+func (sys *crashSystem) close() {
+	sys.set.Close()
+	sys.logs(func(l *wal.Log) { l.Close() })
+}
+
+// buildCrashSystem assembles the system: per partition a fresh base state
+// (deterministic in cfg.Seed), its own log under WALDir/p<p>, and a
+// registered ACC engine; then the routing table and a workload bound to the
+// set. A fifth of new-orders roll back via the unused-item rule, keeping
+// the compensation path hot so comp-force fault points fire quickly.
+func buildCrashSystem(cfg CrashConfig) (*crashSystem, error) {
+	set, err := tpcc.NewSet(cfg.Partitions, cfg.Scale, cfg.Seed, func(p int) ([]core.Option, error) {
 		l, err := wal.Open(filepath.Join(cfg.WALDir, fmt.Sprintf("p%d", p)),
 			wal.Options{SegmentSize: cfg.SegmentSize, GroupWindow: cfg.GroupWindow})
 		if err != nil {
 			return nil, err
 		}
-		sys.logs = append(sys.logs, l)
-		types := tpcc.BuildTypes()
-		eng := core.New(db, types.Tables,
+		return []core.Option{
 			core.WithMode(core.ModeACC),
-			core.WithWaitTimeout(10*time.Second),
+			core.WithWaitTimeout(10 * time.Second),
 			core.WithWAL(l),
-			core.WithEngineLabel(fmt.Sprintf("partition %d", p)),
-		)
-		if _, err := tpcc.RegisterPartitioned(eng, types, cfg.Scale, cfg.Partitions); err != nil {
-			return nil, err
-		}
-		return eng, nil
+		}, nil
 	})
 	if err != nil {
-		for _, l := range sys.logs {
-			l.Close()
-		}
 		return nil, err
 	}
-	sys.set = set
-	tpcc.InstallRoutes(set)
-
 	wcfg := tpcc.DefaultWorkloadConfig(cfg.Scale)
 	wcfg.RollbackPercent = 20
 	wcfg.RemotePercent = cfg.RemotePercent
-	sys.w = tpcc.NewRemoteWorkload(set.Run, wcfg)
-	return sys, nil
+	return &crashSystem{set: set, w: tpcc.NewRemoteWorkload(set.Run, wcfg)}, nil
 }
 
-// RunPartitionCrash executes one partitioned crash-matrix case: doomed run,
-// crash, restart, per-partition + coordinator recovery, consistency check,
-// re-run, consistency check.
-func RunPartitionCrash(cfg PartitionCrashConfig) (*PartitionCrashResult, error) {
+// RunCrash executes one crash-matrix case: doomed run, crash, restart,
+// per-partition + coordinator recovery, consistency check, re-run,
+// consistency check.
+func RunCrash(cfg CrashConfig) (*CrashResult, error) {
 	if cfg.Nth == 0 {
 		cfg.Nth = 3
 	}
 	if cfg.Partitions == 0 {
-		cfg.Partitions = 4
+		cfg.Partitions = 1
 	}
 	if cfg.Terminals == 0 {
 		cfg.Terminals = 8
@@ -185,11 +194,11 @@ func RunPartitionCrash(cfg PartitionCrashConfig) (*PartitionCrashResult, error) 
 		cfg.GroupWindow = 100 * time.Microsecond
 	}
 	if cfg.WALDir == "" {
-		return nil, fmt.Errorf("experiment: partition crash case needs a WAL directory")
+		return nil, fmt.Errorf("experiment: crash case needs a WAL directory")
 	}
 
 	// Phase 1: the doomed run.
-	sys, err := buildPartitionCrashSystem(cfg)
+	sys, err := buildCrashSystem(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -217,9 +226,7 @@ func RunPartitionCrash(cfg PartitionCrashConfig) (*PartitionCrashResult, error) 
 			defer watcherWG.Done()
 			select {
 			case <-ctrl.Crashed():
-				for _, l := range sys.logs {
-					l.Crash()
-				}
+				sys.logs((*wal.Log).Crash)
 			case <-watcherDone:
 			}
 		}()
@@ -254,18 +261,15 @@ func RunPartitionCrash(cfg PartitionCrashConfig) (*PartitionCrashResult, error) 
 		// Deterministic backstop for the watcher's race window — and it keeps
 		// sys.close() (whose Engine.Close forces the log) from making healthy
 		// partitions' post-crash tails durable.
-		for _, l := range sys.logs {
-			l.Crash()
-		}
+		sys.logs((*wal.Log).Crash)
 	}
 
-	res := &PartitionCrashResult{}
+	res := &CrashResult{}
 	switch cfg.Point.Effect {
 	case fault.Delay:
 		res.Fired = ctrl.Hits(cfg.Point.Name) > 0
-		for _, l := range sys.logs {
-			l.Force()
-		}
+		// No crash: quiesce cleanly so restart still exercises Open.
+		sys.logs((*wal.Log).Force)
 	default:
 		res.Fired = ctrl.FiredPoint() == cfg.Point.Name
 	}
@@ -273,13 +277,13 @@ func RunPartitionCrash(cfg PartitionCrashConfig) (*PartitionCrashResult, error) 
 
 	// Phase 2: restart — fresh base state per partition (same seed), reopened
 	// logs, per-partition recovery plus the coordinator completion pass.
-	sys2, err := buildPartitionCrashSystem(cfg)
+	sys2, err := buildCrashSystem(cfg)
 	if err != nil {
 		return nil, err
 	}
 	defer sys2.close()
-	for p, l := range sys2.logs {
-		if tt := l.TornTail(); tt != nil && !tt.Clean() {
+	for p, e := range sys2.set.Engines() {
+		if tt := e.Log().TornTail(); tt != nil && !tt.Clean() {
 			return res, fmt.Errorf("experiment: partition %d crash left corrupt (not torn) log: %w", p, tt)
 		}
 	}
@@ -293,6 +297,9 @@ func RunPartitionCrash(cfg PartitionCrashConfig) (*PartitionCrashResult, error) 
 	for _, pr := range rres.Partitions {
 		res.Committed += pr.Committed
 		res.Compensated += len(pr.Compensated)
+		if res.TornTail == nil {
+			res.TornTail = pr.TornTail
+		}
 		for dk, hs := range tpcc.HolesFromRecovery(pr) {
 			if holes[dk] == nil {
 				holes[dk] = map[int64]bool{}
@@ -313,9 +320,7 @@ func RunPartitionCrash(cfg PartitionCrashConfig) (*PartitionCrashResult, error) 
 			res.RerunCompleted++
 		}
 	}
-	for _, l := range sys2.logs {
-		l.Force()
-	}
+	sys2.logs((*wal.Log).Force)
 	res.RerunViolations = tpcc.CheckConsistencyPartitioned(sys2.dbs(), cfg.Scale, sys2.w.Holes())
 	return res, nil
 }

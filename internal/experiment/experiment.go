@@ -121,37 +121,35 @@ type RunResult struct {
 // twelve-component consistency constraint afterwards, and returns the
 // measurements.
 func Run(cfg Config) (*RunResult, error) {
-	db := core.NewDB()
-	if err := tpcc.CreateSchema(db); err != nil {
-		return nil, err
-	}
-	if err := tpcc.Load(db, cfg.Scale, cfg.Seed); err != nil {
-		return nil, err
-	}
-	types := tpcc.BuildTypes()
 	env := sim.NewEnv(cfg.Servers, cfg.ServiceTime, cfg.ComputeTime)
-	var dlog *wal.Log
-	if cfg.WALDir != "" {
-		var err error
-		dlog, err = wal.Open(cfg.WALDir, wal.Options{ForceLatency: cfg.ForceLatency, GroupWindow: cfg.GroupWindow})
-		if err != nil {
-			return nil, err
+	set, err := tpcc.NewSet(1, cfg.Scale, cfg.Seed, func(int) ([]core.Option, error) {
+		var dlog *wal.Log
+		if cfg.WALDir != "" {
+			var err error
+			dlog, err = wal.Open(cfg.WALDir, wal.Options{ForceLatency: cfg.ForceLatency, GroupWindow: cfg.GroupWindow})
+			if err != nil {
+				return nil, err
+			}
 		}
-		defer dlog.Close()
-	}
-	eng := core.New(db, types.Tables,
-		core.WithMode(cfg.Mode),
-		core.WithWaitTimeout(30*time.Second),
-		core.WithForceLatency(cfg.ForceLatency),
-		core.WithEnv(env),
-		core.WithEagerAssertionLocks(cfg.EagerAssertionLocks),
-		core.WithTracer(cfg.Tracer),
-		core.WithAnatomy(cfg.Anatomy),
-		core.WithWAL(dlog),
-	)
-	if _, err := tpcc.Register(eng, types, cfg.Scale); err != nil {
+		return []core.Option{
+			core.WithMode(cfg.Mode),
+			core.WithWaitTimeout(30 * time.Second),
+			core.WithForceLatency(cfg.ForceLatency),
+			core.WithEnv(env),
+			core.WithEagerAssertionLocks(cfg.EagerAssertionLocks),
+			core.WithTracer(cfg.Tracer),
+			core.WithAnatomy(cfg.Anatomy),
+			core.WithWAL(dlog),
+		}, nil
+	})
+	if err != nil {
 		return nil, err
 	}
+	eng := set.Engine(0)
+	defer func() {
+		set.Close() // stops the version reaper and forces the log
+		eng.Log().Close()
+	}()
 	if cfg.OnEngine != nil {
 		cfg.OnEngine(eng)
 	}
@@ -164,7 +162,8 @@ func Run(cfg Config) (*RunResult, error) {
 	if cfg.RollbackPercent > 0 {
 		wcfg.RollbackPercent = cfg.RollbackPercent
 	}
-	w := tpcc.NewWorkload(eng, wcfg)
+	w := tpcc.NewRemoteWorkload(set.Run, wcfg)
+	w.SetReadRunner(set.RunRead)
 
 	res := sim.Run(sim.Config{
 		Terminals: cfg.Terminals,
@@ -173,10 +172,9 @@ func Run(cfg Config) (*RunResult, error) {
 		ThinkTime: cfg.ThinkTime,
 		Seed:      cfg.Seed,
 	}, w)
-	defer eng.Close() // stops the version reaper; the log is closed by its opener
 
 	total := res.Recorder.Total()
-	violations := tpcc.CheckConsistency(db, cfg.Scale, w.Holes())
+	violations := tpcc.CheckConsistency(eng.DB(), cfg.Scale, w.Holes())
 	return &RunResult{
 		Mode:       cfg.Mode,
 		ByType:     res.Recorder.ByType(),

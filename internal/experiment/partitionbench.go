@@ -8,7 +8,6 @@ package experiment
 // record force plus one forced shot commit per foreign supply warehouse.
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -73,30 +72,13 @@ func RunPartitionBench(cfg PartitionBenchConfig) (*PartitionBenchResult, error) 
 		cfg.Scale.Warehouses = cfg.Partitions
 	}
 
-	set, err := partition.New(cfg.Partitions, func(p int) (*core.Engine, error) {
-		db := core.NewDB()
-		if err := tpcc.CreateSchema(db); err != nil {
-			return nil, err
-		}
-		if err := tpcc.LoadPartition(db, cfg.Scale, cfg.Seed, p, cfg.Partitions); err != nil {
-			return nil, err
-		}
-		types := tpcc.BuildTypes()
-		eng := core.New(db, types.Tables,
-			core.WithMode(core.ModeACC),
-			core.WithWaitTimeout(10*time.Second),
-			core.WithEngineLabel(fmt.Sprintf("partition %d", p)),
-		)
-		if _, err := tpcc.RegisterPartitioned(eng, types, cfg.Scale, cfg.Partitions); err != nil {
-			return nil, err
-		}
-		return eng, nil
+	set, err := tpcc.NewSet(cfg.Partitions, cfg.Scale, cfg.Seed, func(int) ([]core.Option, error) {
+		return []core.Option{core.WithMode(core.ModeACC), core.WithWaitTimeout(10 * time.Second)}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	defer set.Close()
-	tpcc.InstallRoutes(set)
 
 	wcfg := tpcc.DefaultWorkloadConfig(cfg.Scale)
 	wcfg.RemotePercent = cfg.RemotePercent

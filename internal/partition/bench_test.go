@@ -3,43 +3,20 @@ package partition_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"accdb/internal/core"
-	"accdb/internal/partition"
 	"accdb/internal/tpcc"
 )
 
-// benchSet builds an in-memory partitioned TPC-C system for benchmarks.
-func benchSet(b *testing.B, parts int, scale tpcc.Scale) *partition.Set {
-	b.Helper()
-	set, err := partition.New(parts, func(p int) (*core.Engine, error) {
-		db := core.NewDB()
-		if err := tpcc.CreateSchema(db); err != nil {
-			return nil, err
-		}
-		if err := tpcc.LoadPartition(db, scale, 1, p, parts); err != nil {
-			return nil, err
-		}
-		types := tpcc.BuildTypes()
-		eng := core.New(db, types.Tables,
-			core.WithMode(core.ModeACC),
-			core.WithWaitTimeout(10*time.Second),
-			core.WithEngineLabel(fmt.Sprintf("partition %d", p)),
-		)
-		if _, err := tpcc.RegisterPartitioned(eng, types, scale, parts); err != nil {
-			return nil, err
-		}
-		return eng, nil
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { set.Close() })
-	tpcc.InstallRoutes(set)
-	return set
-}
+// benchWarmupTxns is the untimed load each sub-benchmark runs on its own
+// fresh set before measuring, so no sub-benchmark pays for heap growth,
+// first-touch allocation or scheduler ramp-up that an earlier one already
+// paid: the sweep then measures the same thing in any order.
+const benchWarmupTxns = 2000
 
 // BenchmarkPartitionThroughput measures the TPC-C mix against a 4-partition
 // set at varying remote-warehouse shares. remote=0 is the router's fast-path
@@ -53,10 +30,33 @@ func BenchmarkPartitionThroughput(b *testing.B) {
 				Warehouses: 4, Districts: 2, CustomersPerDistrict: 60,
 				Items: 50, InitialOrdersPerDistrict: 20, NewOrderBacklog: 8,
 			}
-			set := benchSet(b, 4, scale)
+			set, err := tpcc.NewSet(4, scale, 1, func(int) ([]core.Option, error) {
+				return []core.Option{core.WithMode(core.ModeACC), core.WithWaitTimeout(10 * time.Second)}, nil
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { set.Close() })
 			wcfg := tpcc.DefaultWorkloadConfig(scale)
 			wcfg.RemotePercent = remotePct
 			w := tpcc.NewRemoteWorkload(set.Run, wcfg)
+
+			procs := runtime.GOMAXPROCS(0)
+			var wg sync.WaitGroup
+			for g := 0; g < procs; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					r := rand.New(rand.NewSource(int64(g) + 1))
+					for i := g; i < benchWarmupTxns; i += procs {
+						w.Next(r, g).Run()
+					}
+				}(g)
+			}
+			wg.Wait()
+			runtime.GC()
+			before := set.Snapshot()
+
 			b.ReportAllocs()
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
@@ -68,8 +68,10 @@ func BenchmarkPartitionThroughput(b *testing.B) {
 			})
 			b.StopTimer()
 			st := set.Snapshot()
-			if total := st.SingleRouted + st.CrossStarted; total > 0 {
-				b.ReportMetric(float64(st.CrossStarted)/float64(total)*100, "cross%")
+			single := st.SingleRouted - before.SingleRouted
+			cross := st.CrossStarted - before.CrossStarted
+			if total := single + cross; total > 0 {
+				b.ReportMetric(float64(cross)/float64(total)*100, "cross%")
 			}
 		})
 	}

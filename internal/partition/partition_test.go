@@ -19,26 +19,14 @@ import (
 	_ "accdb/internal/backends" // default storage backends
 )
 
-// buildTPCCSet assembles a partitioned TPC-C system: one engine per
-// partition, each loaded with its own warehouses (plus the replicated item
-// table) and, when walBase is non-empty, its own disk-backed log under
-// walBase/p<N>.
+// buildTPCCSet assembles a partitioned TPC-C system through tpcc.NewSet:
+// one engine per partition, each loaded with its own warehouses (plus the
+// replicated item table) and, when walBase is non-empty, its own
+// disk-backed log under walBase/p<N>.
 func buildTPCCSet(t testing.TB, parts int, scale tpcc.Scale, seed int64, walBase string, opts ...partition.Option) *partition.Set {
 	t.Helper()
-	set, err := partition.New(parts, func(p int) (*core.Engine, error) {
-		db := core.NewDB()
-		if err := tpcc.CreateSchema(db); err != nil {
-			return nil, err
-		}
-		if err := tpcc.LoadPartition(db, scale, seed, p, parts); err != nil {
-			return nil, err
-		}
-		types := tpcc.BuildTypes()
-		eopts := []core.Option{
-			core.WithMode(core.ModeACC),
-			core.WithWaitTimeout(10 * time.Second),
-			core.WithEngineLabel(fmt.Sprintf("partition %d", p)),
-		}
+	set, err := tpcc.NewSet(parts, scale, seed, func(p int) ([]core.Option, error) {
+		eopts := []core.Option{core.WithMode(core.ModeACC), core.WithWaitTimeout(10 * time.Second)}
 		if walBase != "" {
 			l, err := wal.Open(filepath.Join(walBase, fmt.Sprintf("p%d", p)), wal.Options{})
 			if err != nil {
@@ -46,16 +34,11 @@ func buildTPCCSet(t testing.TB, parts int, scale tpcc.Scale, seed int64, walBase
 			}
 			eopts = append(eopts, core.WithWAL(l))
 		}
-		eng := core.New(db, types.Tables, eopts...)
-		if _, err := tpcc.RegisterPartitioned(eng, types, scale, parts); err != nil {
-			return nil, err
-		}
-		return eng, nil
+		return eopts, nil
 	}, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tpcc.InstallRoutes(set)
 	return set
 }
 

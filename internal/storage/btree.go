@@ -1,5 +1,7 @@
 package storage
 
+import "accdb/internal/spi"
+
 // BTree is an in-memory B+-tree mapping order-preserving encoded keys (Key)
 // to encoded primary keys. It backs secondary indexes: index entries encode
 // (secondary columns..., primary key columns...) so that duplicate secondary
@@ -17,23 +19,23 @@ const defaultDegree = 32 // max keys per node = 2*degree - 1
 
 type node interface {
 	// keys returns the node's key slice (for invariant checks).
-	nkeys() []Key
+	nkeys() []spi.Key
 }
 
 type leaf struct {
-	keys []Key
-	vals []Key
+	keys []spi.Key
+	vals []spi.Key
 	next *leaf
 	prev *leaf
 }
 
 type inner struct {
-	keys     []Key  // separator keys; len(children) == len(keys)+1
-	children []node // children[i] holds keys < keys[i]; children[len] holds >= last
+	keys     []spi.Key // separator keys; len(children) == len(keys)+1
+	children []node    // children[i] holds keys < keys[i]; children[len] holds >= last
 }
 
-func (l *leaf) nkeys() []Key  { return l.keys }
-func (n *inner) nkeys() []Key { return n.keys }
+func (l *leaf) nkeys() []spi.Key  { return l.keys }
+func (n *inner) nkeys() []spi.Key { return n.keys }
 
 // NewBTree creates an empty tree with the default fan-out.
 func NewBTree() *BTree { return NewBTreeDegree(defaultDegree) }
@@ -54,7 +56,7 @@ func (t *BTree) maxKeys() int { return 2*t.degree - 1 }
 func (t *BTree) minKeys() int { return t.degree - 1 }
 
 // Get returns the value stored under key, if present.
-func (t *BTree) Get(key Key) (Key, bool) {
+func (t *BTree) Get(key spi.Key) (spi.Key, bool) {
 	n := t.root
 	for {
 		switch x := n.(type) {
@@ -71,7 +73,7 @@ func (t *BTree) Get(key Key) (Key, bool) {
 }
 
 // searchKeys binary-searches keys for key; returns (insertion index, found).
-func searchKeys(keys []Key, key Key) (int, bool) {
+func searchKeys(keys []spi.Key, key spi.Key) (int, bool) {
 	lo, hi := 0, len(keys)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -85,7 +87,7 @@ func searchKeys(keys []Key, key Key) (int, bool) {
 }
 
 // childIndex returns which child of an inner node covers key.
-func childIndex(keys []Key, key Key) int {
+func childIndex(keys []spi.Key, key spi.Key) int {
 	lo, hi := 0, len(keys)
 	for lo < hi {
 		mid := (lo + hi) / 2
@@ -100,10 +102,10 @@ func childIndex(keys []Key, key Key) int {
 
 // Set inserts or replaces the value under key. It reports whether the key
 // was newly inserted (true) or replaced (false).
-func (t *BTree) Set(key Key, val Key) bool {
+func (t *BTree) Set(key spi.Key, val spi.Key) bool {
 	newChild, sepKey, inserted := t.insert(t.root, key, val)
 	if newChild != nil {
-		t.root = &inner{keys: []Key{sepKey}, children: []node{t.root, newChild}}
+		t.root = &inner{keys: []spi.Key{sepKey}, children: []node{t.root, newChild}}
 	}
 	if inserted {
 		t.size++
@@ -113,7 +115,7 @@ func (t *BTree) Set(key Key, val Key) bool {
 
 // insert descends, splitting full children on the way back up. Returns a
 // new right sibling and separator if the node split.
-func (t *BTree) insert(n node, key Key, val Key) (node, Key, bool) {
+func (t *BTree) insert(n node, key spi.Key, val spi.Key) (node, spi.Key, bool) {
 	switch x := n.(type) {
 	case *leaf:
 		i, found := searchKeys(x.keys, key)
@@ -155,8 +157,8 @@ func (t *BTree) insert(n node, key Key, val Key) (node, Key, bool) {
 func (t *BTree) splitLeaf(l *leaf) *leaf {
 	mid := len(l.keys) / 2
 	right := &leaf{
-		keys: append([]Key(nil), l.keys[mid:]...),
-		vals: append([]Key(nil), l.vals[mid:]...),
+		keys: append([]spi.Key(nil), l.keys[mid:]...),
+		vals: append([]spi.Key(nil), l.vals[mid:]...),
 		next: l.next,
 		prev: l,
 	}
@@ -169,11 +171,11 @@ func (t *BTree) splitLeaf(l *leaf) *leaf {
 	return right
 }
 
-func (t *BTree) splitInner(n *inner) (*inner, Key) {
+func (t *BTree) splitInner(n *inner) (*inner, spi.Key) {
 	mid := len(n.keys) / 2
 	sep := n.keys[mid]
 	right := &inner{
-		keys:     append([]Key(nil), n.keys[mid+1:]...),
+		keys:     append([]spi.Key(nil), n.keys[mid+1:]...),
 		children: append([]node(nil), n.children[mid+1:]...),
 	}
 	n.keys = n.keys[:mid:mid]
@@ -182,7 +184,7 @@ func (t *BTree) splitInner(n *inner) (*inner, Key) {
 }
 
 // Delete removes key from the tree, reporting whether it was present.
-func (t *BTree) Delete(key Key) bool {
+func (t *BTree) Delete(key spi.Key) bool {
 	deleted := t.remove(t.root, key)
 	if deleted {
 		t.size--
@@ -195,7 +197,7 @@ func (t *BTree) Delete(key Key) bool {
 }
 
 // remove deletes key beneath n, rebalancing children that underflow.
-func (t *BTree) remove(n node, key Key) bool {
+func (t *BTree) remove(n node, key spi.Key) bool {
 	switch x := n.(type) {
 	case *leaf:
 		i, found := searchKeys(x.keys, key)
@@ -244,15 +246,15 @@ func (t *BTree) borrowLeft(x *inner, ci int) {
 	case *leaf:
 		left := x.children[ci-1].(*leaf)
 		n := len(left.keys) - 1
-		child.keys = append([]Key{left.keys[n]}, child.keys...)
-		child.vals = append([]Key{left.vals[n]}, child.vals...)
+		child.keys = append([]spi.Key{left.keys[n]}, child.keys...)
+		child.vals = append([]spi.Key{left.vals[n]}, child.vals...)
 		left.keys = left.keys[:n]
 		left.vals = left.vals[:n]
 		x.keys[ci-1] = child.keys[0]
 	case *inner:
 		left := x.children[ci-1].(*inner)
 		n := len(left.keys) - 1
-		child.keys = append([]Key{x.keys[ci-1]}, child.keys...)
+		child.keys = append([]spi.Key{x.keys[ci-1]}, child.keys...)
 		child.children = append([]node{left.children[n+1]}, child.children...)
 		x.keys[ci-1] = left.keys[n]
 		left.keys = left.keys[:n]
@@ -303,7 +305,7 @@ func (t *BTree) merge(x *inner, i int) {
 // Ascend visits entries with lo <= key < hi in key order; an empty hi means
 // unbounded. The visitor returns false to stop early. Ascend reports whether
 // the scan ran to completion.
-func (t *BTree) Ascend(lo, hi Key, visit func(key, val Key) bool) bool {
+func (t *BTree) Ascend(lo, hi spi.Key, visit func(key, val spi.Key) bool) bool {
 	n := t.root
 	for {
 		x, ok := n.(*inner)
@@ -330,18 +332,18 @@ func (t *BTree) Ascend(lo, hi Key, visit func(key, val Key) bool) bool {
 }
 
 // AscendPrefix visits all entries whose key begins with prefix.
-func (t *BTree) AscendPrefix(prefix Key, visit func(key, val Key) bool) bool {
+func (t *BTree) AscendPrefix(prefix spi.Key, visit func(key, val spi.Key) bool) bool {
 	return t.Ascend(prefix, prefixEnd(prefix), visit)
 }
 
 // prefixEnd computes the smallest key greater than every key with the given
 // prefix, by incrementing the last non-0xFF byte.
-func prefixEnd(prefix Key) Key {
+func prefixEnd(prefix spi.Key) spi.Key {
 	b := []byte(prefix)
 	for i := len(b) - 1; i >= 0; i-- {
 		if b[i] < 0xFF {
 			b[i]++
-			return Key(b[:i+1])
+			return spi.Key(b[:i+1])
 		}
 	}
 	return "" // prefix is all 0xFF: unbounded
@@ -359,7 +361,7 @@ func (t *BTree) checkInvariants() error {
 	return nil
 }
 
-func (t *BTree) check(n node, isRoot bool, lo, hi Key) (int, int, error) {
+func (t *BTree) check(n node, isRoot bool, lo, hi spi.Key) (int, int, error) {
 	switch x := n.(type) {
 	case *leaf:
 		if !isRoot && len(x.keys) < t.minKeys() {

@@ -6,9 +6,11 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"accdb/internal/spi"
 )
 
-func intKey(i int) Key { return EncodeKey(I64(int64(i))) }
+func intKey(i int) spi.Key { return spi.EncodeKey(spi.I64(int64(i))) }
 
 func TestBTreeBasicSetGetDelete(t *testing.T) {
 	bt := NewBTree()
@@ -40,13 +42,13 @@ func TestBTreeAscendOrderAndBounds(t *testing.T) {
 	const n = 500
 	perm := rand.New(rand.NewSource(2)).Perm(n)
 	for _, i := range perm {
-		bt.Set(intKey(i), Key(fmt.Sprint(i)))
+		bt.Set(intKey(i), spi.Key(fmt.Sprint(i)))
 	}
 	if err := bt.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	var got []Key
-	bt.Ascend("", "", func(k, _ Key) bool {
+	var got []spi.Key
+	bt.Ascend("", "", func(k, _ spi.Key) bool {
 		got = append(got, k)
 		return true
 	})
@@ -58,7 +60,7 @@ func TestBTreeAscendOrderAndBounds(t *testing.T) {
 	}
 	// Bounded scan [100, 200).
 	count := 0
-	bt.Ascend(intKey(100), intKey(200), func(k, _ Key) bool {
+	bt.Ascend(intKey(100), intKey(200), func(k, _ spi.Key) bool {
 		count++
 		return true
 	})
@@ -67,7 +69,7 @@ func TestBTreeAscendOrderAndBounds(t *testing.T) {
 	}
 	// Early stop.
 	count = 0
-	bt.Ascend("", "", func(Key, Key) bool {
+	bt.Ascend("", "", func(spi.Key, spi.Key) bool {
 		count++
 		return count < 10
 	})
@@ -80,11 +82,11 @@ func TestBTreeAscendPrefix(t *testing.T) {
 	bt := NewBTree()
 	for d := 1; d <= 3; d++ {
 		for o := 1; o <= 50; o++ {
-			bt.Set(EncodeKey(I64(int64(d)), I64(int64(o))), "v")
+			bt.Set(spi.EncodeKey(spi.I64(int64(d)), spi.I64(int64(o))), "v")
 		}
 	}
 	count := 0
-	bt.AscendPrefix(EncodeKey(I64(2)), func(k, _ Key) bool {
+	bt.AscendPrefix(spi.EncodeKey(spi.I64(2)), func(k, _ spi.Key) bool {
 		count++
 		return true
 	})
@@ -158,14 +160,14 @@ func TestBTreeDrainToEmpty(t *testing.T) {
 func TestBTreeMatchesMapQuick(t *testing.T) {
 	f := func(ops []int16) bool {
 		bt := NewBTreeDegree(3)
-		oracle := make(map[Key]Key)
+		oracle := make(map[spi.Key]spi.Key)
 		for _, op := range ops {
 			k := intKey(int(op) % 64)
 			if op%3 == 0 {
 				delete(oracle, k)
 				bt.Delete(k)
 			} else {
-				v := Key(fmt.Sprint(op))
+				v := spi.Key(fmt.Sprint(op))
 				oracle[k] = v
 				bt.Set(k, v)
 			}
@@ -199,13 +201,13 @@ func TestBTreeDegreePanics(t *testing.T) {
 }
 
 func TestPrefixEnd(t *testing.T) {
-	if prefixEnd(Key("a")) != Key("b") {
+	if prefixEnd(spi.Key("a")) != spi.Key("b") {
 		t.Error("simple increment failed")
 	}
-	if prefixEnd(Key("a\xff")) != Key("b") {
+	if prefixEnd(spi.Key("a\xff")) != spi.Key("b") {
 		t.Error("trailing 0xFF should carry")
 	}
-	if prefixEnd(Key("\xff\xff")) != Key("") {
+	if prefixEnd(spi.Key("\xff\xff")) != spi.Key("") {
 		t.Error("all-0xFF prefix should be unbounded")
 	}
 }

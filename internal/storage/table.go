@@ -38,26 +38,26 @@ func sprintf(format string, args ...any) string { return fmt.Sprintf(format, arg
 // (two-phase and assertional locking) is layered above by package core, the
 // way Ingres layers its lock manager above the page store.
 type Table struct {
-	schema *Schema
+	schema *spi.Schema
 
 	mu      sync.RWMutex
-	rows    map[Key][]byte // packed rows (pack/unpack)
+	rows    map[spi.Key][]byte // packed rows (pack/unpack)
 	indexes []*secondaryIndex
 	// versions holds per-key version chains for the lock-free read tiers
 	// (version.go): ascending CSN order, seeded with the key's pre-image on
 	// first mutation so as-of reads never consult an uncommitted base row.
-	versions map[Key][]version
+	versions map[spi.Key][]version
 }
 
 type secondaryIndex struct {
-	def  IndexDef
+	def  spi.IndexDef
 	cols []int
 	tree *BTree
 }
 
 // NewTable creates an empty table for the schema.
-func NewTable(schema *Schema) *Table {
-	return &Table{schema: schema, rows: make(map[Key][]byte)}
+func NewTable(schema *spi.Schema) *Table {
+	return &Table{schema: schema, rows: make(map[spi.Key][]byte)}
 }
 
 // packBuf sizes the stack buffer pack encodes into; only rows larger than it
@@ -67,7 +67,7 @@ const packBuf = 1024
 // pack encodes row as an exact-size packed row. It needs no latch: the
 // encoding goes through a stack buffer, so the result is the only
 // allocation.
-func pack(row Row) []byte {
+func pack(row spi.Row) []byte {
 	var buf [packBuf]byte
 	b := spi.MarshalRow(buf[:0], row)
 	p := make([]byte, len(b))
@@ -76,7 +76,7 @@ func pack(row Row) []byte {
 }
 
 // samePacked reports whether row encodes to exactly the packed row p.
-func samePacked(row Row, p []byte) bool {
+func samePacked(row spi.Row, p []byte) bool {
 	var buf [packBuf]byte
 	return bytes.Equal(spi.MarshalRow(buf[:0], row), p)
 }
@@ -84,7 +84,7 @@ func samePacked(row Row, p []byte) bool {
 // unpack decodes a packed row into a Row the caller owns. Its strings share
 // p's bytes, which is safe because a packed row is never modified: writes
 // replace it with a new one.
-func unpack(p []byte) Row {
+func unpack(p []byte) spi.Row {
 	row, _, err := spi.UnmarshalRowShared(p)
 	if err != nil {
 		panic("storage: corrupt packed row: " + err.Error())
@@ -93,10 +93,10 @@ func unpack(p []byte) Row {
 }
 
 // Schema describes the relation; immutable after construction.
-func (t *Table) Schema() *Schema { return t.schema }
+func (t *Table) Schema() *spi.Schema { return t.schema }
 
 // AddIndex creates a secondary index and backfills it from existing rows.
-func (t *Table) AddIndex(def IndexDef) error {
+func (t *Table) AddIndex(def spi.IndexDef) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	cols := make([]int, len(def.Columns))
@@ -117,7 +117,7 @@ func (t *Table) AddIndex(def IndexDef) error {
 
 // entryKey builds the index entry key: secondary values then the primary
 // key, encoded in one pass so index maintenance costs one allocation.
-func (ix *secondaryIndex) entryKey(row Row, pk Key) Key {
+func (ix *secondaryIndex) entryKey(row spi.Row, pk spi.Key) spi.Key {
 	var b strings.Builder
 	n := len(pk)
 	for _, c := range ix.cols {
@@ -128,14 +128,14 @@ func (ix *secondaryIndex) entryKey(row Row, pk Key) Key {
 		spi.AppendKeyVal(&b, row[c])
 	}
 	b.WriteString(string(pk))
-	return Key(b.String())
+	return spi.Key(b.String())
 }
 
 // keepsEntry reports whether two images of a row agree bit for bit on
 // every indexed column, so their index entries are equal and an update
 // need not build either. Floats compare by bit pattern: -0 and +0 encode
 // differently.
-func (ix *secondaryIndex) keepsEntry(a, b Row) bool {
+func (ix *secondaryIndex) keepsEntry(a, b spi.Row) bool {
 	for _, c := range ix.cols {
 		x, y := a[c], b[c]
 		if x.K != y.K || x.I != y.I || x.S != y.S || math.Float64bits(x.F) != math.Float64bits(y.F) {
@@ -153,18 +153,18 @@ func (t *Table) Len() int {
 }
 
 // Get returns a copy of the row with the given primary key.
-func (t *Table) Get(pk Key) (Row, error) {
+func (t *Table) Get(pk spi.Key) (spi.Row, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	p, ok := t.rows[pk]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, t.schema.Name)
+		return nil, fmt.Errorf("%w: %s", spi.ErrNotFound, t.schema.Name)
 	}
 	return unpack(p), nil
 }
 
 // Exists reports whether a primary key is present.
-func (t *Table) Exists(pk Key) bool {
+func (t *Table) Exists(pk spi.Key) bool {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	_, ok := t.rows[pk]
@@ -172,7 +172,7 @@ func (t *Table) Exists(pk Key) bool {
 }
 
 // Insert adds a new row; the primary key must not exist.
-func (t *Table) Insert(row Row) error {
+func (t *Table) Insert(row spi.Row) error {
 	if err := t.schema.CheckRow(row); err != nil {
 		return err
 	}
@@ -181,7 +181,7 @@ func (t *Table) Insert(row Row) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if _, ok := t.rows[pk]; ok {
-		return fmt.Errorf("%w: %s %v", ErrDuplicate, t.schema.Name, t.schema.PKOf(row))
+		return fmt.Errorf("%w: %s %v", spi.ErrDuplicate, t.schema.Name, t.schema.PKOf(row))
 	}
 	t.seedVersionLocked(pk, nil)
 	t.rows[pk] = p
@@ -193,7 +193,7 @@ func (t *Table) Insert(row Row) error {
 
 // Update replaces the row stored under pk. The new row must have the same
 // primary key. It returns the previous image for undo logging.
-func (t *Table) Update(pk Key, row Row) (Row, error) {
+func (t *Table) Update(pk spi.Key, row spi.Row) (spi.Row, error) {
 	if err := t.schema.CheckRow(row); err != nil {
 		return nil, err
 	}
@@ -205,7 +205,7 @@ func (t *Table) Update(pk Key, row Row) (Row, error) {
 	defer t.mu.Unlock()
 	oldP, ok := t.rows[pk]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, t.schema.Name)
+		return nil, fmt.Errorf("%w: %s", spi.ErrNotFound, t.schema.Name)
 	}
 	old := unpack(oldP)
 	t.seedVersionLocked(pk, old)
@@ -224,12 +224,12 @@ func (t *Table) Update(pk Key, row Row) (Row, error) {
 }
 
 // Delete removes the row under pk, returning the removed image for undo.
-func (t *Table) Delete(pk Key) (Row, error) {
+func (t *Table) Delete(pk spi.Key) (spi.Row, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	oldP, ok := t.rows[pk]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, t.schema.Name)
+		return nil, fmt.Errorf("%w: %s", spi.ErrNotFound, t.schema.Name)
 	}
 	old := unpack(oldP)
 	t.seedVersionLocked(pk, old)
@@ -243,7 +243,7 @@ func (t *Table) Delete(pk Key) (Row, error) {
 // Apply installs a row image directly (used by WAL recovery): a nil row
 // deletes pk, otherwise the row is upserted. No index entry is required to
 // pre-exist.
-func (t *Table) Apply(pk Key, row Row) {
+func (t *Table) Apply(pk spi.Key, row spi.Row) {
 	var p []byte
 	if row != nil {
 		p = pack(row)
@@ -251,7 +251,7 @@ func (t *Table) Apply(pk Key, row Row) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	oldP, had := t.rows[pk]
-	var old Row
+	var old spi.Row
 	if had {
 		old = unpack(oldP)
 	}
@@ -278,7 +278,7 @@ func (t *Table) Apply(pk Key, row Row) {
 
 // Scan visits every row (copy) in unspecified order; the visitor returns
 // false to stop. The latch is held in read mode for the whole scan.
-func (t *Table) Scan(visit func(pk Key, row Row) bool) {
+func (t *Table) Scan(visit func(pk spi.Key, row spi.Row) bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	for pk, p := range t.rows {
@@ -289,15 +289,15 @@ func (t *Table) Scan(visit func(pk Key, row Row) bool) {
 }
 
 // IndexScan visits rows whose indexed columns equal eq, in index order.
-func (t *Table) IndexScan(indexName string, eq []Value, visit func(pk Key, row Row) bool) error {
+func (t *Table) IndexScan(indexName string, eq []spi.Value, visit func(pk spi.Key, row spi.Row) bool) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	ix := t.index(indexName)
 	if ix == nil {
 		return fmt.Errorf("storage: %s has no index %q", t.schema.Name, indexName)
 	}
-	prefix := EncodeKey(eq...)
-	ix.tree.AscendPrefix(prefix, func(_, pk Key) bool {
+	prefix := spi.EncodeKey(eq...)
+	ix.tree.AscendPrefix(prefix, func(_, pk spi.Key) bool {
 		p, ok := t.rows[pk]
 		if !ok {
 			return true // entry/row race is impossible under the latch; defensive
@@ -309,19 +309,19 @@ func (t *Table) IndexScan(indexName string, eq []Value, visit func(pk Key, row R
 
 // IndexRange visits rows whose index entries fall in [lo, hi) where lo and
 // hi are value tuples over the index columns (hi may be nil for unbounded).
-func (t *Table) IndexRange(indexName string, lo, hi []Value, visit func(pk Key, row Row) bool) error {
+func (t *Table) IndexRange(indexName string, lo, hi []spi.Value, visit func(pk spi.Key, row spi.Row) bool) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	ix := t.index(indexName)
 	if ix == nil {
 		return fmt.Errorf("storage: %s has no index %q", t.schema.Name, indexName)
 	}
-	loK := EncodeKey(lo...)
-	var hiK Key
+	loK := spi.EncodeKey(lo...)
+	var hiK spi.Key
 	if hi != nil {
-		hiK = EncodeKey(hi...)
+		hiK = spi.EncodeKey(hi...)
 	}
-	ix.tree.Ascend(loK, hiK, func(_, pk Key) bool {
+	ix.tree.Ascend(loK, hiK, func(_, pk spi.Key) bool {
 		p, ok := t.rows[pk]
 		if !ok {
 			return true
@@ -350,7 +350,7 @@ type Catalog struct {
 func NewCatalog() *Catalog { return &Catalog{tables: make(map[string]*Table)} }
 
 // Create adds a table for schema; the name must be new.
-func (c *Catalog) Create(schema *Schema) (*Table, error) {
+func (c *Catalog) Create(schema *spi.Schema) (*Table, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.tables[schema.Name]; ok {
@@ -362,7 +362,7 @@ func (c *Catalog) Create(schema *Schema) (*Table, error) {
 }
 
 // MustCreate is Create that panics; for statically known schemas.
-func (c *Catalog) MustCreate(schema *Schema) *Table {
+func (c *Catalog) MustCreate(schema *spi.Schema) *Table {
 	t, err := c.Create(schema)
 	if err != nil {
 		panic(err)
@@ -403,7 +403,7 @@ func NewStore() *Store { return &Store{cat: Catalog{tables: make(map[string]*Tab
 func (s *Store) Catalog() *Catalog { return &s.cat }
 
 // Create adds a table for schema; the name must be new.
-func (s *Store) Create(schema *Schema) (spi.Table, error) {
+func (s *Store) Create(schema *spi.Schema) (spi.Table, error) {
 	t, err := s.cat.Create(schema)
 	if err != nil {
 		return nil, err

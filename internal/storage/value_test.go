@@ -14,16 +14,16 @@ import (
 )
 
 func TestValueConstructorsAndAccessors(t *testing.T) {
-	if I64(7).Int64() != 7 {
+	if spi.I64(7).Int64() != 7 {
 		t.Error("I64 roundtrip failed")
 	}
-	if Int(-3).Int64() != -3 {
+	if spi.Int(-3).Int64() != -3 {
 		t.Error("Int roundtrip failed")
 	}
-	if F64(2.5).Float64() != 2.5 {
+	if spi.F64(2.5).Float64() != 2.5 {
 		t.Error("F64 roundtrip failed")
 	}
-	if Str("abc").Text() != "abc" {
+	if spi.Str("abc").Text() != "abc" {
 		t.Error("Str roundtrip failed")
 	}
 }
@@ -34,21 +34,21 @@ func TestValueAccessorPanicsOnWrongKind(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	_ = Str("x").Int64()
+	_ = spi.Str("x").Int64()
 }
 
 func TestValueEqual(t *testing.T) {
 	cases := []struct {
-		a, b Value
+		a, b spi.Value
 		want bool
 	}{
-		{I64(1), I64(1), true},
-		{I64(1), I64(2), false},
-		{I64(1), F64(1), false},
-		{F64(1.5), F64(1.5), true},
-		{Str("a"), Str("a"), true},
-		{Str("a"), Str("b"), false},
-		{Str("1"), I64(1), false},
+		{spi.I64(1), spi.I64(1), true},
+		{spi.I64(1), spi.I64(2), false},
+		{spi.I64(1), spi.F64(1), false},
+		{spi.F64(1.5), spi.F64(1.5), true},
+		{spi.Str("a"), spi.Str("a"), true},
+		{spi.Str("a"), spi.Str("b"), false},
+		{spi.Str("1"), spi.I64(1), false},
 	}
 	for _, c := range cases {
 		if got := c.a.Equal(c.b); got != c.want {
@@ -58,13 +58,13 @@ func TestValueEqual(t *testing.T) {
 }
 
 func TestValueCompare(t *testing.T) {
-	if I64(1).Compare(I64(2)) != -1 || I64(2).Compare(I64(1)) != 1 || I64(5).Compare(I64(5)) != 0 {
+	if spi.I64(1).Compare(spi.I64(2)) != -1 || spi.I64(2).Compare(spi.I64(1)) != 1 || spi.I64(5).Compare(spi.I64(5)) != 0 {
 		t.Error("int compare broken")
 	}
-	if F64(-1).Compare(F64(1)) != -1 {
+	if spi.F64(-1).Compare(spi.F64(1)) != -1 {
 		t.Error("float compare broken")
 	}
-	if Str("a").Compare(Str("b")) != -1 {
+	if spi.Str("a").Compare(spi.Str("b")) != -1 {
 		t.Error("string compare broken")
 	}
 }
@@ -75,13 +75,13 @@ func TestValueCompareCrossKindPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	I64(1).Compare(Str("a"))
+	spi.I64(1).Compare(spi.Str("a"))
 }
 
 func TestEncodeKeyRoundtrip(t *testing.T) {
-	vals := []Value{I64(-5), I64(0), I64(1 << 40), F64(-2.5), F64(3.75), Str(""), Str("hello"), Str("nul\x00inside")}
-	k := EncodeKey(vals...)
-	got, err := DecodeKey(k)
+	vals := []spi.Value{spi.I64(-5), spi.I64(0), spi.I64(1 << 40), spi.F64(-2.5), spi.F64(3.75), spi.Str(""), spi.Str("hello"), spi.Str("nul\x00inside")}
+	k := spi.EncodeKey(vals...)
+	got, err := spi.DecodeKey(k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,15 +96,15 @@ func TestEncodeKeyRoundtrip(t *testing.T) {
 }
 
 func TestDecodeKeyErrors(t *testing.T) {
-	bad := []Key{
-		Key([]byte{0xEE}),                         // unknown tag
-		Key([]byte{byte(KindInt), 1}),             // truncated int
-		Key([]byte{byte(KindString), 'a'}),        // unterminated string
-		Key([]byte{byte(KindString), 0x00, 0x07}), // bad escape
-		Key([]byte{byte(KindFloat), 0, 0, 0}),     // truncated float
+	bad := []spi.Key{
+		spi.Key([]byte{0xEE}),                             // unknown tag
+		spi.Key([]byte{byte(spi.KindInt), 1}),             // truncated int
+		spi.Key([]byte{byte(spi.KindString), 'a'}),        // unterminated string
+		spi.Key([]byte{byte(spi.KindString), 0x00, 0x07}), // bad escape
+		spi.Key([]byte{byte(spi.KindFloat), 0, 0, 0}),     // truncated float
 	}
 	for i, k := range bad {
-		if _, err := DecodeKey(k); err == nil {
+		if _, err := spi.DecodeKey(k); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
 	}
@@ -114,25 +114,25 @@ func TestDecodeKeyErrors(t *testing.T) {
 // encoded keys equals value order.
 func TestEncodeKeyOrderPreserving(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	randVal := func(kind Kind) Value {
+	randVal := func(kind spi.Kind) spi.Value {
 		switch kind {
-		case KindInt:
-			return I64(r.Int63n(2000) - 1000)
-		case KindFloat:
-			return F64((r.Float64() - 0.5) * 100)
+		case spi.KindInt:
+			return spi.I64(r.Int63n(2000) - 1000)
+		case spi.KindFloat:
+			return spi.F64((r.Float64() - 0.5) * 100)
 		default:
 			n := r.Intn(6)
 			b := make([]byte, n)
 			for i := range b {
 				b[i] = byte(r.Intn(4)) // include NULs
 			}
-			return Str(string(b))
+			return spi.Str(string(b))
 		}
 	}
 	for trial := 0; trial < 5000; trial++ {
-		kind := Kind(r.Intn(3) + 1)
+		kind := spi.Kind(r.Intn(3) + 1)
 		a, b := randVal(kind), randVal(kind)
-		ka, kb := EncodeKey(a), EncodeKey(b)
+		ka, kb := spi.EncodeKey(a), spi.EncodeKey(b)
 		cmp := a.Compare(b)
 		switch {
 		case cmp < 0 && !(ka < kb):
@@ -147,7 +147,7 @@ func TestEncodeKeyOrderPreserving(t *testing.T) {
 
 func TestEncodeKeyOrderPreservingQuick(t *testing.T) {
 	f := func(a, b int64) bool {
-		ka, kb := EncodeKey(I64(a)), EncodeKey(I64(b))
+		ka, kb := spi.EncodeKey(spi.I64(a)), spi.EncodeKey(spi.I64(b))
 		return (a < b) == (ka < kb)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -157,14 +157,14 @@ func TestEncodeKeyOrderPreservingQuick(t *testing.T) {
 		if math.IsNaN(a) || math.IsNaN(b) {
 			return true
 		}
-		ka, kb := EncodeKey(F64(a)), EncodeKey(F64(b))
+		ka, kb := spi.EncodeKey(spi.F64(a)), spi.EncodeKey(spi.F64(b))
 		return (a < b) == (ka < kb)
 	}
 	if err := quick.Check(g, nil); err != nil {
 		t.Error(err)
 	}
 	h := func(a, b string) bool {
-		ka, kb := EncodeKey(Str(a)), EncodeKey(Str(b))
+		ka, kb := spi.EncodeKey(spi.Str(a)), spi.EncodeKey(spi.Str(b))
 		return (a < b) == (ka < kb)
 	}
 	if err := quick.Check(h, nil); err != nil {
@@ -174,22 +174,22 @@ func TestEncodeKeyOrderPreservingQuick(t *testing.T) {
 
 func TestEncodeKeyCompositeOrdering(t *testing.T) {
 	// (1, "b") < (2, "a") and (1, "a") < (1, "b").
-	if !(EncodeKey(I64(1), Str("b")) < EncodeKey(I64(2), Str("a"))) {
+	if !(spi.EncodeKey(spi.I64(1), spi.Str("b")) < spi.EncodeKey(spi.I64(2), spi.Str("a"))) {
 		t.Error("composite ordering broken across first column")
 	}
-	if !(EncodeKey(I64(1), Str("a")) < EncodeKey(I64(1), Str("b"))) {
+	if !(spi.EncodeKey(spi.I64(1), spi.Str("a")) < spi.EncodeKey(spi.I64(1), spi.Str("b"))) {
 		t.Error("composite ordering broken within second column")
 	}
 	// A shorter tuple that is a prefix orders before its extensions.
-	if !(EncodeKey(I64(1)) < EncodeKey(I64(1), I64(0))) {
+	if !(spi.EncodeKey(spi.I64(1)) < spi.EncodeKey(spi.I64(1), spi.I64(0))) {
 		t.Error("prefix tuple should order before extension")
 	}
 }
 
 func TestMarshalRowRoundtrip(t *testing.T) {
-	row := Row{I64(-9), F64(3.5), Str("hello\x00world"), I64(1 << 50), Str("")}
-	buf := MarshalRow(nil, row)
-	got, n, err := UnmarshalRow(buf)
+	row := spi.Row{spi.I64(-9), spi.F64(3.5), spi.Str("hello\x00world"), spi.I64(1 << 50), spi.Str("")}
+	buf := spi.MarshalRow(nil, row)
+	got, n, err := spi.UnmarshalRow(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,8 +206,8 @@ func TestMarshalRowQuick(t *testing.T) {
 		if math.IsNaN(fl) {
 			return true
 		}
-		row := Row{I64(i), F64(fl), Str(s)}
-		got, _, err := UnmarshalRow(MarshalRow(nil, row))
+		row := spi.Row{spi.I64(i), spi.F64(fl), spi.Str(s)}
+		got, _, err := spi.UnmarshalRow(spi.MarshalRow(nil, row))
 		return err == nil && got.Equal(row)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -216,9 +216,9 @@ func TestMarshalRowQuick(t *testing.T) {
 }
 
 func TestUnmarshalRowErrors(t *testing.T) {
-	row := Row{I64(1), Str("abc")}
-	buf := MarshalRow(nil, row)
-	for _, decode := range []func([]byte) (Row, int, error){UnmarshalRow, spi.UnmarshalRowShared} {
+	row := spi.Row{spi.I64(1), spi.Str("abc")}
+	buf := spi.MarshalRow(nil, row)
+	for _, decode := range []func([]byte) (spi.Row, int, error){spi.UnmarshalRow, spi.UnmarshalRowShared} {
 		for cut := 1; cut < len(buf); cut++ {
 			if _, _, err := decode(buf[:cut]); err == nil {
 				// Some prefixes decode as a shorter valid row only if the
@@ -229,7 +229,7 @@ func TestUnmarshalRowErrors(t *testing.T) {
 		// A string length past the end of the input, even one that
 		// overflows int, is an error, not a panic.
 		for _, l := range []uint64{4, 1 << 63, math.MaxUint64} {
-			bad := binary.AppendUvarint([]byte{1, byte(KindString)}, l)
+			bad := binary.AppendUvarint([]byte{1, byte(spi.KindString)}, l)
 			if _, _, err := decode(append(bad, "abc"...)); err == nil {
 				t.Errorf("string length %d over 3 bytes accepted", l)
 			}
@@ -240,8 +240,8 @@ func TestUnmarshalRowErrors(t *testing.T) {
 // The shared decoder returns the same row; its strings point into the
 // input instead of copies of it.
 func TestUnmarshalRowShared(t *testing.T) {
-	row := Row{I64(-9), Str("hello"), F64(2.5), Str("")}
-	buf := MarshalRow(nil, row)
+	row := spi.Row{spi.I64(-9), spi.Str("hello"), spi.F64(2.5), spi.Str("")}
+	buf := spi.MarshalRow(nil, row)
 	got, n, err := spi.UnmarshalRowShared(buf)
 	if err != nil || n != len(buf) || !got.Equal(row) {
 		t.Fatalf("UnmarshalRowShared = %v, %d, %v; want %v, %d", got, n, err, row, len(buf))
@@ -252,13 +252,13 @@ func TestUnmarshalRowShared(t *testing.T) {
 }
 
 func TestRowCloneIndependence(t *testing.T) {
-	r := Row{I64(1), Str("x")}
+	r := spi.Row{spi.I64(1), spi.Str("x")}
 	c := r.Clone()
-	c[0] = I64(2)
+	c[0] = spi.I64(2)
 	if r[0].Int64() != 1 {
 		t.Error("Clone aliases the original")
 	}
-	if Row(nil).Clone() != nil {
+	if spi.Row(nil).Clone() != nil {
 		t.Error("nil Clone should be nil")
 	}
 	var _ = reflect.DeepEqual // keep reflect import honest if edited

@@ -247,6 +247,56 @@ func InstallRoutes(set *partition.Set) {
 	set.SetUndo("no_stock", partition.UndoSpec{Type: "no_stock_undo"})
 }
 
+// NewSet builds the TPC-C deployment every command and harness runs: n ≥ 1
+// engines, each over a fresh database loaded with its partition's
+// warehouses (all of them at n = 1), built with the options opts returns
+// for it, its transaction types registered; then the warehouse routes are
+// installed. A single engine is the one-partition set, whose transactions
+// all route straight to it. Engines are labelled "partition p" only when
+// n > 1, and scale must give every partition a warehouse.
+//
+// The caller owns any logs opts opened: after set.Close it closes them
+// through set.Engines()[p].Log(). If the build fails, NewSet closes the logs
+// of every engine it had built; opts cleans up after its own failure.
+func NewSet(n int, scale Scale, seed int64, opts func(p int) ([]core.Option, error), setOpts ...partition.Option) (*partition.Set, error) {
+	if scale.Warehouses < n {
+		return nil, fmt.Errorf("tpcc: %d warehouses cannot cover %d partitions", scale.Warehouses, n)
+	}
+	var built []*core.Engine
+	set, err := partition.New(n, func(p int) (*core.Engine, error) {
+		db := core.NewDB()
+		if err := CreateSchema(db); err != nil {
+			return nil, err
+		}
+		if err := LoadPartition(db, scale, seed, p, n); err != nil {
+			return nil, err
+		}
+		o, err := opts(p)
+		if err != nil {
+			return nil, err
+		}
+		if n > 1 {
+			o = append(o, core.WithEngineLabel(fmt.Sprintf("partition %d", p)))
+		}
+		types := BuildTypes()
+		eng := core.New(db, types.Tables, o...)
+		built = append(built, eng)
+		if _, err := RegisterPartitioned(eng, types, scale, n); err != nil {
+			return nil, err
+		}
+		return eng, nil
+	}, setOpts...)
+	if err != nil {
+		for _, e := range built {
+			e.Close()
+			e.Log().Close()
+		}
+		return nil, err
+	}
+	InstallRoutes(set)
+	return set, nil
+}
+
 // LoadPartition populates one partition's database: the full item table
 // (replicated, read-only) plus every warehouse the partition owns. With one
 // partition it is exactly Load.

@@ -100,3 +100,28 @@ func TestConcurrentMixTwoLevel(t *testing.T) {
 	runMix(t, eng, w, 6, 40, 17)
 	checkAll(t, eng, w)
 }
+
+// TestNewSetOnePartition: the one-partition set is the single-engine
+// deployment. Every transaction routes whole to engine 0, the coordinator
+// never runs, the database stays consistent, and a scale too small for the
+// partition count is refused.
+func TestNewSetOnePartition(t *testing.T) {
+	scale := smallScale()
+	opts := func(int) ([]core.Option, error) { return []core.Option{core.WithMode(core.ModeACC)}, nil }
+	set, err := NewSet(1, scale, 42, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer set.Close()
+	w := NewRemoteWorkload(set.Run, DefaultWorkloadConfig(scale))
+	runMix(t, set.Engine(0), w, 4, 50, 7)
+	st := set.Snapshot()
+	if st.SingleRouted != 200 || st.CrossStarted != 0 {
+		t.Errorf("one partition: single=%d cross=%d, want 200 and 0", st.SingleRouted, st.CrossStarted)
+	}
+	checkAll(t, set.Engine(0), w)
+
+	if _, err := NewSet(2, scale, 42, opts); err == nil {
+		t.Error("two partitions over one warehouse: want an error")
+	}
+}
