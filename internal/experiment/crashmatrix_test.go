@@ -11,10 +11,10 @@ import (
 
 // crashFamilies assigns every fault point, by name prefix, the partition
 // count its crash-matrix case runs at. Generic points run on the
-// single-engine (one-partition) set; the coordinator points only fire when
-// transactions span partitions, so they run on four with a 25% remote
-// share. A point outside every family fails TestCrashMatrix rather than
-// going untested.
+// single-engine (one-partition) set in TestCrashMatrix; the coordinator
+// points only fire when transactions span partitions, so they run on four
+// with a 25% remote share in TestPartitionCrashMatrix. A point outside every
+// family fails TestCrashMatrix rather than going untested.
 var crashFamilies = []struct {
 	prefix     string
 	partitions int
@@ -33,11 +33,12 @@ func crashPartitions(point string) (int, bool) {
 	return 0, false
 }
 
-// TestCrashMatrix is the recovery acceptance test: for EVERY registered
-// fault injection point, crash a TPC-C run there, recover every partition
-// plus the coordinator's decision records, and require the full consistency
-// battery (including the cross-partition stock condition) on the recovered
-// state — and again after the recovered set re-runs load.
+// TestCrashMatrix is the recovery acceptance test: for every generic fault
+// injection point, crash a one-partition TPC-C run there, recover, and
+// require the full consistency battery on the recovered state — and again
+// after the recovered set re-runs load. It also checks that every
+// registered point belongs to a family, so every point is run by this test
+// or by TestPartitionCrashMatrix.
 func TestCrashMatrix(t *testing.T) {
 	points := fault.Points()
 	if len(points) < 10 {
@@ -48,15 +49,39 @@ func TestCrashMatrix(t *testing.T) {
 			t.Errorf("fault point %s belongs to no crash-matrix family: no case runs it", p.Name)
 		}
 	}
-	for _, p := range points {
-		n, ok := crashPartitions(p.Name)
-		if !ok {
+	if n := runCrashFamily(t, 1); n == 0 {
+		t.Fatal("no fault point runs at one partition")
+	}
+}
+
+// TestPartitionCrashMatrix is the coordinator acceptance test: for every
+// partition.coord.* fault point — crash after the decision record, between
+// shots, after the home commit, mid-compensation — crash a four-partition
+// TPC-C run with a 25% remote-warehouse share, recover every partition plus
+// the coordinator's decision records, and require the full consistency
+// battery (including the cross-partition stock condition) on the recovered
+// state and again after re-admitted load.
+func TestPartitionCrashMatrix(t *testing.T) {
+	if n := runCrashFamily(t, 4); n != 4 {
+		t.Fatalf("expected the 4 coordinator fault points at four partitions, found %d", n)
+	}
+}
+
+// runCrashFamily runs, one subtest per point, every registered fault point
+// whose family runs at n partitions, and returns how many it ran.
+func runCrashFamily(t *testing.T, n int) int {
+	t.Helper()
+	ran := 0
+	for _, p := range fault.Points() {
+		if m, ok := crashPartitions(p.Name); !ok || m != n {
 			continue
 		}
+		ran++
 		t.Run(p.Name, func(t *testing.T) {
 			runCrashCase(t, CrashConfig{Point: p, Seed: 42, Partitions: n, WALDir: t.TempDir()})
 		})
 	}
+	return ran
 }
 
 // TestPartitionCrashGenericPoint runs one non-coordinator point on four
