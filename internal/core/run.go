@@ -23,6 +23,23 @@ func init() {
 		"process dies at the compensation-done force: recovery must compensate again")
 }
 
+// event records one engine-layer transition: on the trace bus when a
+// tracer is attached, and in the transaction's latency-anatomy span. mode
+// labels the span event and doubles as the bus event's extra; a non-nil
+// cause replaces that extra with its message. With the tracer detached no
+// bus event is built and no message formatted. step < 0 means not
+// step-scoped.
+func (e *Engine) event(txn *txnState, kind trace.Kind, step int, item string, dur int64, mode string, cause error) {
+	if e.tracer != nil {
+		extra := mode
+		if cause != nil {
+			extra = cause.Error()
+		}
+		e.emitTxn(kind, txn, step, item, dur, extra)
+	}
+	txn.spanEvent(kind, mode, item, dur)
+}
+
 // emitTxn sends one engine-layer event. Callers nil-check e.tracer first so
 // the disabled path never builds the event. step < 0 means not step-scoped.
 // The transaction's trace id (when a latency-anatomy span is attached) rides
@@ -192,10 +209,7 @@ func (e *Engine) runDecomposedOnce(ctx context.Context, tt *TxnType, args any, s
 	txn.info.Span = sp
 	sp.SetTxn(uint64(txn.info.ID), tt.Name)
 	start := time.Now()
-	if e.tracer != nil {
-		e.emitTxn(trace.KindTxnBegin, txn, -1, tt.Name, 0, "")
-	}
-	txn.spanEvent(trace.KindTxnBegin, "", tt.Name, 0)
+	e.event(txn, trace.KindTxnBegin, -1, tt.Name, 0, "", nil)
 	rec := wal.Record{Type: wal.TBegin, Txn: uint64(txn.info.ID), TxnType: tt.Name}
 	if tag, ok := shotTagFrom(ctx); ok && tag.Global != 0 {
 		// A shot of a multi-shot global transaction: stamp the begin record
@@ -220,10 +234,7 @@ func (e *Engine) runDecomposedOnce(ctx context.Context, tt *TxnType, args any, s
 	e.publishWrites(txn.pending)
 	e.lm.ReleaseAll(txn.info)
 	e.commits.Add(1)
-	if e.tracer != nil {
-		e.emitTxn(trace.KindTxnCommit, txn, -1, tt.Name, int64(time.Since(start)), "")
-	}
-	txn.spanEvent(trace.KindTxnCommit, "", tt.Name, int64(time.Since(start)))
+	e.event(txn, trace.KindTxnCommit, -1, tt.Name, int64(time.Since(start)), "", nil)
 	e.recordCommit(txn)
 	return nil
 }
@@ -285,10 +296,7 @@ func (e *Engine) runStep(txn *txnState, j int) error {
 			return err
 		}
 		e.log.AppendSpan(wal.Record{Type: wal.TStepBegin, Txn: uint64(txn.info.ID), Step: int32(j)}, txn.span)
-		if e.tracer != nil {
-			e.emitTxn(trace.KindStepBegin, txn, j, txn.steps[j].Name, 0, "")
-		}
-		txn.spanEvent(trace.KindStepBegin, "", txn.steps[j].Name, 0)
+		e.event(txn, trace.KindStepBegin, j, txn.steps[j].Name, 0, "", nil)
 		stepStart := time.Now()
 		tc := &Ctx{
 			e: e, txn: txn, stepIdx: j,
@@ -301,21 +309,14 @@ func (e *Engine) runStep(txn *txnState, j int) error {
 		}
 		if err == nil {
 			e.finishStep(txn, tc, j)
-			if e.tracer != nil {
-				e.emitTxn(trace.KindStepEnd, txn, j, txn.steps[j].Name,
-					int64(time.Since(stepStart)), "")
-			}
-			txn.spanEvent(trace.KindStepEnd, "", txn.steps[j].Name, int64(time.Since(stepStart)))
+			e.event(txn, trace.KindStepEnd, j, txn.steps[j].Name, int64(time.Since(stepStart)), "", nil)
 			return nil
 		}
 		tc.undo()
 		e.lm.ReleaseStepAbort(txn.info)
 		if Retryable(err) && attempt < e.opt.MaxStepRetries {
 			e.stepRetries.Add(1)
-			if e.tracer != nil {
-				e.emitTxn(trace.KindStepRetry, txn, j, txn.steps[j].Name, 0, err.Error())
-			}
-			txn.spanEvent(trace.KindStepRetry, "", txn.steps[j].Name, 0)
+			e.event(txn, trace.KindStepRetry, j, txn.steps[j].Name, 0, "", err)
 			continue
 		}
 		return err
@@ -374,16 +375,13 @@ func (e *Engine) finishStep(txn *txnState, tc *Ctx, j int) {
 	}
 	var area []byte
 	var areaBuf *[]byte
-	switch {
-	case tt.AppendArgs != nil:
-		// Append form: the work area is serialized into a pooled scratch.
-		// Append below copies it into the log synchronously, so the buffer
-		// is free again as soon as the record is in.
+	if tt.AppendArgs != nil {
+		// The work area is serialized into a pooled scratch. Append below
+		// copies it into the log synchronously, so the buffer is free again
+		// as soon as the record is in.
 		areaBuf = areaPool.Get().(*[]byte)
 		*areaBuf = tt.AppendArgs((*areaBuf)[:0], txn.args)
 		area = *areaBuf
-	case tt.EncodeArgs != nil:
-		area = tt.EncodeArgs(txn.args)
 	}
 	rec := wal.Record{
 		Type: wal.TEndOfStep, Txn: uint64(txn.info.ID),
@@ -452,27 +450,18 @@ func (e *Engine) rollback(txn *txnState, j int, cause error) error {
 		e.log.AppendSpan(wal.Record{Type: wal.TAbort, Txn: uint64(txn.info.ID)}, txn.span)
 		e.lm.ReleaseAll(txn.info)
 		if Retryable(cause) {
-			if e.tracer != nil {
-				e.emitTxn(trace.KindTxnAbort, txn, -1, txn.tt.Name, 0, "scheduling")
-			}
-			txn.spanEvent(trace.KindTxnAbort, "scheduling", txn.tt.Name, 0)
+			e.event(txn, trace.KindTxnAbort, -1, txn.tt.Name, 0, "scheduling", nil)
 			return cause // nothing exposed: the caller restarts the transaction
 		}
 		if canceled(cause) {
 			// The caller went away before anything was exposed: the undo
 			// already happened in place, so this is neither a user abort nor
 			// a scheduling abort — just the cancellation, propagated.
-			if e.tracer != nil {
-				e.emitTxn(trace.KindTxnAbort, txn, -1, txn.tt.Name, 0, "canceled")
-			}
-			txn.spanEvent(trace.KindTxnAbort, "canceled", txn.tt.Name, 0)
+			e.event(txn, trace.KindTxnAbort, -1, txn.tt.Name, 0, "canceled", nil)
 			return fmt.Errorf("core: %s canceled: %w", txn.tt.Name, cause)
 		}
 		e.userAborts.Add(1)
-		if e.tracer != nil {
-			e.emitTxn(trace.KindTxnAbort, txn, -1, txn.tt.Name, 0, "user")
-		}
-		txn.spanEvent(trace.KindTxnAbort, "user", txn.tt.Name, 0)
+		e.event(txn, trace.KindTxnAbort, -1, txn.tt.Name, 0, "user", nil)
 		return fmt.Errorf("core: %s aborted: %w", txn.tt.Name, cause)
 	}
 	if err := e.compensate(txn, completed); err != nil {
@@ -492,11 +481,8 @@ func (e *Engine) compensate(txn *txnState, completed int) error {
 	}
 	for attempt := 0; ; attempt++ {
 		e.log.AppendSpan(wal.Record{Type: wal.TCompBegin, Txn: uint64(txn.info.ID), Step: int32(completed)}, txn.span)
-		if e.tracer != nil {
-			// Step carries the number of completed forward steps being undone.
-			e.emitTxn(trace.KindCompBegin, txn, completed, tt.Name, 0, "")
-		}
-		txn.spanEvent(trace.KindCompBegin, "", tt.Name, 0)
+		// Step carries the number of completed forward steps being undone.
+		e.event(txn, trace.KindCompBegin, completed, tt.Name, 0, "", nil)
 		compStart := time.Now()
 		tc := &Ctx{
 			e: e, txn: txn,
@@ -510,11 +496,7 @@ func (e *Engine) compensate(txn *txnState, completed int) error {
 			e.publishWrites(tc.writes)
 			e.lm.ReleaseAll(txn.info)
 			e.compensations.Add(1)
-			if e.tracer != nil {
-				e.emitTxn(trace.KindCompDone, txn, completed, tt.Name,
-					int64(time.Since(compStart)), "")
-			}
-			txn.spanEvent(trace.KindCompDone, "", tt.Name, int64(time.Since(compStart)))
+			e.event(txn, trace.KindCompDone, completed, tt.Name, int64(time.Since(compStart)), "", nil)
 			e.recordCommit(txn) // compensation publishes a (compensated) outcome
 			return nil
 		}
@@ -557,10 +539,7 @@ func (e *Engine) runBaseline(ctx context.Context, tt *TxnType, args any, sp *tra
 		txn.info.Span = sp
 		sp.SetTxn(uint64(txn.info.ID), tt.Name)
 		start := time.Now()
-		if e.tracer != nil {
-			e.emitTxn(trace.KindTxnBegin, txn, -1, tt.Name, 0, "")
-		}
-		txn.spanEvent(trace.KindTxnBegin, "", tt.Name, 0)
+		e.event(txn, trace.KindTxnBegin, -1, tt.Name, 0, "", nil)
 		e.log.AppendSpan(wal.Record{Type: wal.TBegin, Txn: uint64(txn.info.ID), TxnType: tt.Name}, sp)
 		e.log.AppendSpan(wal.Record{Type: wal.TStepBegin, Txn: uint64(txn.info.ID), Step: 0}, sp)
 		tc := &Ctx{e: e, txn: txn, stepType: interference.LegacyStep}
@@ -578,10 +557,7 @@ func (e *Engine) runBaseline(ctx context.Context, tt *TxnType, args any, sp *tra
 			e.publishWrites(tc.writes)
 			e.lm.ReleaseAll(txn.info)
 			e.commits.Add(1)
-			if e.tracer != nil {
-				e.emitTxn(trace.KindTxnCommit, txn, -1, tt.Name, int64(time.Since(start)), "")
-			}
-			txn.spanEvent(trace.KindTxnCommit, "", tt.Name, int64(time.Since(start)))
+			e.event(txn, trace.KindTxnCommit, -1, tt.Name, int64(time.Since(start)), "", nil)
 			e.recordCommit(txn)
 			return nil
 		}
@@ -592,10 +568,7 @@ func (e *Engine) runBaseline(ctx context.Context, tt *TxnType, args any, sp *tra
 		if Retryable(err) {
 			if ctx.Err() == nil && attempt < e.opt.MaxTxnRetries {
 				e.txnRetries.Add(1)
-				if e.tracer != nil {
-					e.emitTxn(trace.KindTxnAbort, txn, -1, tt.Name, 0, "scheduling")
-				}
-				txn.spanEvent(trace.KindTxnAbort, "scheduling", tt.Name, 0)
+				e.event(txn, trace.KindTxnAbort, -1, tt.Name, 0, "scheduling", nil)
 				retryBackoff(attempt, uint64(txn.info.ID))
 				continue
 			}
@@ -604,17 +577,11 @@ func (e *Engine) runBaseline(ctx context.Context, tt *TxnType, args any, sp *tra
 			return fmt.Errorf("core: %s: %w: %w", tt.Name, ErrRetriesExhausted, err)
 		}
 		if canceled(err) {
-			if e.tracer != nil {
-				e.emitTxn(trace.KindTxnAbort, txn, -1, tt.Name, 0, "canceled")
-			}
-			txn.spanEvent(trace.KindTxnAbort, "canceled", tt.Name, 0)
+			e.event(txn, trace.KindTxnAbort, -1, tt.Name, 0, "canceled", nil)
 			return fmt.Errorf("core: %s canceled: %w", tt.Name, err)
 		}
 		e.userAborts.Add(1)
-		if e.tracer != nil {
-			e.emitTxn(trace.KindTxnAbort, txn, -1, tt.Name, 0, "user")
-		}
-		txn.spanEvent(trace.KindTxnAbort, "user", tt.Name, 0)
+		e.event(txn, trace.KindTxnAbort, -1, tt.Name, 0, "user", nil)
 		return fmt.Errorf("core: %s aborted: %w", tt.Name, err)
 	}
 }

@@ -78,19 +78,15 @@ type TxnType struct {
 	// Comp is the compensating step; nil only for single-step transactions,
 	// which never need compensation.
 	Comp *Compensation
-	// EncodeArgs serializes the instance's work area (its argument value,
+	// AppendArgs serializes the instance's work area (its argument value,
 	// including any state forward steps recorded into it, such as assigned
-	// identifiers). It is stored in every forced end-of-step record so a
-	// crash can be compensated. Optional: without it the transaction cannot
-	// be compensated after a crash (it still compensates normally online).
-	EncodeArgs func(args any) []byte
-	// AppendArgs, when non-nil, is EncodeArgs in append form: it serializes
-	// the work area onto dst and returns the extended slice, so the engine
-	// can reuse one pooled scratch buffer across end-of-step records
-	// instead of allocating per step. It must produce exactly the bytes
-	// EncodeArgs would.
+	// identifiers) onto dst and returns the extended slice. The engine
+	// stores it in every forced end-of-step record, encoding into one pooled
+	// scratch buffer, so a crash can be compensated. Optional: without it
+	// the transaction cannot be compensated after a crash (it still
+	// compensates normally online).
 	AppendArgs func(dst []byte, args any) []byte
-	// DecodeArgs reverses EncodeArgs during crash recovery.
+	// DecodeArgs reverses AppendArgs during crash recovery.
 	DecodeArgs func(data []byte) (any, error)
 	// InterStatementCompute opts this type into the environment's
 	// inter-statement compute time (§5.2 added it to the transactions whose

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sync"
 
+	"accdb/internal/spi"
 	"accdb/internal/trace"
 )
 
@@ -63,13 +64,13 @@ func (m *Manager) resolveDeadlock(w *waiter) error {
 		w.sh.stats.deadlocks.Add(1)
 		victim := victimOf(w, cycle)
 		if victim == nil || victim == w {
-			return ErrDeadlock
+			return spi.ErrDeadlock
 		}
 		vs := victim.sh
 		vs.mu.Lock()
 		killed := false
 		if !victim.granted && victim.err == nil {
-			victim.err = ErrAborted
+			victim.err = spi.ErrAborted
 			m.removeWaiter(vs, victim)
 			victim.ch <- struct{}{}
 			vs.stats.victimsForComp.Add(1)
@@ -104,16 +105,16 @@ func victimOf(w *waiter, cycle []*waiter) *waiter {
 // cycleSearch is the scratch state of one deadlock search, recycled through
 // searchPool.
 type cycleSearch struct {
-	target  TxnID
-	visited map[TxnID]bool
+	target  spi.TxnID
+	visited map[spi.TxnID]bool
 	// stack holds the blockers of every waiter on the current path, each
 	// waiter's run appended above its caller's and truncated on backtrack.
-	stack []TxnID
+	stack []spi.TxnID
 	path  []*waiter
 }
 
 var searchPool = sync.Pool{New: func() any {
-	return &cycleSearch{visited: make(map[TxnID]bool)}
+	return &cycleSearch{visited: make(map[spi.TxnID]bool)}
 }}
 
 // release returns the scratch state to the pool. The path is zeroed so the
@@ -165,7 +166,7 @@ func (s *cycleSearch) dfs(m *Manager, cur *waiter) bool {
 // holders of conflicting grants on its item, and earlier conflicting waiters
 // in its queue. It takes (and releases) w's shard latch; a waiter that has
 // already been granted or aborted contributes no edges.
-func (m *Manager) appendBlockerTxns(dst []TxnID, w *waiter) []TxnID {
+func (m *Manager) appendBlockerTxns(dst []spi.TxnID, w *waiter) []spi.TxnID {
 	sh := w.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -183,7 +184,7 @@ func (m *Manager) appendBlockerTxns(dst []TxnID, w *waiter) []TxnID {
 // queue order. A transaction holding several conflicting entries appears
 // once per entry; w's own transaction never appears (same-transaction
 // entries do not conflict). Caller holds w's shard latch.
-func (m *Manager) appendBlockersLocked(dst []TxnID, w *waiter, st *lockState) []TxnID {
+func (m *Manager) appendBlockersLocked(dst []spi.TxnID, w *waiter, st *lockState) []spi.TxnID {
 	for _, g := range st.grants {
 		if m.conflictsWithGrant(w.txn, w.req, g) {
 			dst = append(dst, g.txn.ID)
@@ -203,7 +204,7 @@ func (m *Manager) appendBlockersLocked(dst []TxnID, w *waiter, st *lockState) []
 // blockersLocked lists w's distinct current blockers in order of first
 // appearance, for the waits-for snapshot (snapshot.go). Caller holds w's
 // shard latch.
-func (m *Manager) blockersLocked(w *waiter, st *lockState) []TxnID {
+func (m *Manager) blockersLocked(w *waiter, st *lockState) []spi.TxnID {
 	all := m.appendBlockersLocked(nil, w, st)
 	out := all[:0]
 	for _, id := range all {

@@ -18,7 +18,7 @@ import (
 // allocation-free search must agree with, cycle for cycle.
 func refFindCycle(m *Manager, w *waiter) []*waiter {
 	target := w.txn.ID
-	visited := make(map[TxnID]bool)
+	visited := make(map[spi.TxnID]bool)
 	var path []*waiter
 	var dfs func(cur *waiter) bool
 	dfs = func(cur *waiter) bool {
@@ -46,7 +46,7 @@ func refFindCycle(m *Manager, w *waiter) []*waiter {
 	return nil
 }
 
-func refBlockerTxns(m *Manager, w *waiter) []TxnID {
+func refBlockerTxns(m *Manager, w *waiter) []spi.TxnID {
 	sh := w.sh
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -57,9 +57,9 @@ func refBlockerTxns(m *Manager, w *waiter) []TxnID {
 	if !ok {
 		return nil
 	}
-	seen := make(map[TxnID]bool)
-	var out []TxnID
-	add := func(id TxnID) {
+	seen := make(map[spi.TxnID]bool)
+	var out []spi.TxnID
+	add := func(id spi.TxnID) {
 		if id != w.txn.ID && !seen[id] {
 			seen[id] = true
 			out = append(out, id)
@@ -96,7 +96,7 @@ func refVictim(w *waiter, cycle []*waiter) *waiter {
 	return nil
 }
 
-var convModes = []Mode{ModeIS, ModeIX, ModeS, ModeSIX, ModeX}
+var convModes = []spi.Mode{spi.ModeIS, spi.ModeIX, spi.ModeS, spi.ModeSIX, spi.ModeX}
 
 // randomWaitsFor builds a lock table directly: a few items spread over four
 // shards, each with random conventional, assertional (A), exposure (D) and
@@ -115,13 +115,13 @@ func randomWaitsFor(rng *rand.Rand) (*Manager, []*waiter) {
 	}
 	m := NewManagerWithShards(o, 4)
 	const nTxns, nItems = 12, 5
-	txns := make([]*TxnInfo, nTxns)
+	txns := make([]*spi.Txn, nTxns)
 	for i := range txns {
-		txns[i] = NewTxnInfo(TxnID(i+1), interference.TxnTypeID(1+rng.Intn(3)))
+		txns[i] = spi.NewTxn(spi.TxnID(i+1), interference.TxnTypeID(1+rng.Intn(3)))
 	}
-	items := make([]Item, nItems)
+	items := make([]spi.Item, nItems)
 	for i := range items {
-		items[i] = RowItem("t", spi.Key(fmt.Sprintf("k%d", i)))
+		items[i] = spi.RowItem("t", spi.Key(fmt.Sprintf("k%d", i)))
 	}
 	step := func() interference.StepTypeID { return interference.StepTypeID(1 + rng.Intn(3)) }
 	assertion := func() interference.AssertionID { return interference.AssertionID(1 + rng.Intn(3)) }
@@ -149,9 +149,9 @@ func randomWaitsFor(rng *rand.Rand) (*Manager, []*waiter) {
 			continue // not blocked anywhere
 		}
 		it := items[rng.Intn(nItems)]
-		req := Request{Step: step(), Compensating: rng.Intn(3) == 0}
+		req := spi.LockRequest{Step: step(), Compensating: rng.Intn(3) == 0}
 		if rng.Intn(3) == 0 {
-			req.Mode, req.Assertion = ModeA, assertion()
+			req.Mode, req.Assertion = spi.ModeA, assertion()
 		} else {
 			req.Mode = convModes[rng.Intn(len(convModes))]
 		}
@@ -210,19 +210,19 @@ func TestDeadlockSearchMatchesReference(t *testing.T) {
 // blockedQueue parks depth goroutines, each a distinct transaction
 // requesting X on it, behind holder's X grant, and returns once all of them
 // are queued and published. release lets the queue drain and waits for it.
-func blockedQueue(tb testing.TB, m *Manager, it Item, depth int) (tail *waiter, release func()) {
+func blockedQueue(tb testing.TB, m *Manager, it spi.Item, depth int) (tail *waiter, release func()) {
 	tb.Helper()
-	holder := NewTxnInfo(1, 1)
-	if err := m.Acquire(holder, it, conv(ModeX)); err != nil {
+	holder := spi.NewTxn(1, 1)
+	if err := m.Acquire(holder, it, conv(spi.ModeX)); err != nil {
 		tb.Fatal(err)
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < depth; i++ {
 		wg.Add(1)
-		txn := NewTxnInfo(TxnID(i+2), 1)
+		txn := spi.NewTxn(spi.TxnID(i+2), 1)
 		go func() {
 			defer wg.Done()
-			if err := m.Acquire(txn, it, conv(ModeX)); err != nil {
+			if err := m.Acquire(txn, it, conv(spi.ModeX)); err != nil {
 				tb.Error(err)
 				return
 			}
@@ -285,9 +285,9 @@ func TestDeadlockSearchAllocFree(t *testing.T) {
 	// without parking.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	txn := NewTxnInfo(1000, 1)
+	txn := spi.NewTxn(1000, 1)
 	if n := testing.AllocsPerRun(200, func() {
-		if err := m.AcquireCtx(ctx, txn, it, conv(ModeX)); err != context.Canceled {
+		if err := m.AcquireCtx(ctx, txn, it, conv(spi.ModeX)); err != context.Canceled {
 			t.Errorf("AcquireCtx = %v, want context.Canceled", err)
 		}
 	}); n > 2 {

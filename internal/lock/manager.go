@@ -34,10 +34,10 @@ const (
 // of different kinds on the same item (e.g. a conventional X, an assertional
 // lock, and an exposure mark).
 type grant struct {
-	txn  *TxnInfo
+	txn  *spi.Txn
 	kind grantKind
 
-	mode      Mode                     // conventional
+	mode      spi.Mode                 // conventional
 	step      interference.StepTypeID  // conventional, assertional: acquiring step type
 	assertion interference.AssertionID // assertional
 	csTypes   []interference.StepTypeID
@@ -52,9 +52,9 @@ type grant struct {
 // cancel) sets exactly one outcome and signals ch exactly once, all under
 // that latch.
 type waiter struct {
-	txn  *TxnInfo
-	req  Request
-	item Item
+	txn  *spi.Txn
+	req  spi.LockRequest
+	item spi.Item
 	sh   *shard
 	conv bool // conversion request (trace events tag these as upgrades)
 
@@ -75,9 +75,6 @@ type lockState struct {
 	queue  []*waiter
 }
 
-// Stats aggregates lock-manager counters (spi.LockStats).
-type Stats = spi.LockStats
-
 // Manager is the lock manager. The lock table is partitioned into shards —
 // the structure of the sharded Ingres lock manager the paper modified —
 // each with its own latch, item map and wait queues, so Acquires on
@@ -85,7 +82,7 @@ type Stats = spi.LockStats
 // channels; blocked requests are published in a cross-shard waits-for
 // registry for deadlock detection and cancellation.
 type Manager struct {
-	oracle Oracle
+	oracle spi.Oracle
 
 	// WaitTimeout bounds each blocking Acquire; zero means wait forever.
 	// It is a safety net for tests and drivers, not a scheduling policy.
@@ -102,21 +99,16 @@ type Manager struct {
 	tracer *trace.Tracer
 }
 
-// ClassStats aggregates wait behaviour for one (table, level, mode) class
-// (spi.ClassStats); the benchmarks use it to attribute contention to
-// specific hot spots.
-type ClassStats = spi.ClassStats
-
 // NewManager creates a lock manager with the default shard count,
 // max(16, 4×GOMAXPROCS) capped at 64, using the given interference oracle.
-func NewManager(oracle Oracle) *Manager {
+func NewManager(oracle spi.Oracle) *Manager {
 	return NewManagerWithShards(oracle, defaultShardCount())
 }
 
 // NewManagerWithShards creates a lock manager with an explicit shard count
 // (rounded up to a power of two, capped at 64). n = 1 degenerates to the
 // single-latch manager, which the shard benchmarks use as their baseline.
-func NewManagerWithShards(oracle Oracle, n int) *Manager {
+func NewManagerWithShards(oracle spi.Oracle, n int) *Manager {
 	if n < 1 {
 		n = 1
 	}
@@ -149,7 +141,7 @@ func (m *Manager) SetWaitTimeout(d time.Duration) { m.WaitTimeout = d }
 
 // emitLock sends one lock-layer event. Callers nil-check m.tracer first so
 // the disabled path never builds the event.
-func (m *Manager) emitLock(kind trace.Kind, txn TxnID, item Item, sh *shard, mode string, dur int64, extra string) {
+func (m *Manager) emitLock(kind trace.Kind, txn spi.TxnID, item spi.Item, sh *shard, mode string, dur int64, extra string) {
 	ev := trace.Ev(kind, uint64(txn))
 	ev.Mode, ev.Item, ev.Shard, ev.Dur, ev.Extra = mode, item.String(), sh.idx, dur, extra
 	m.tracer.Emit(ev)
@@ -157,21 +149,21 @@ func (m *Manager) emitLock(kind trace.Kind, txn TxnID, item Item, sh *shard, mod
 
 // conflictsWithGrant reports whether request (txn, req) conflicts with an
 // existing grant g. Same-transaction entries never conflict.
-func (m *Manager) conflictsWithGrant(txn *TxnInfo, req Request, g *grant) bool {
+func (m *Manager) conflictsWithGrant(txn *spi.Txn, req spi.LockRequest, g *grant) bool {
 	if g.txn.ID == txn.ID {
 		return false
 	}
 	switch req.Mode {
-	case ModeIS, ModeIX, ModeS, ModeSIX, ModeX:
+	case spi.ModeIS, spi.ModeIX, spi.ModeS, spi.ModeSIX, spi.ModeX:
 		switch g.kind {
 		case kindConventional:
 			return !conventionalCompat(req.Mode, g.mode)
 		case kindAssertional:
 			// Only writers can invalidate an assertion.
-			if req.Mode == ModeX || req.Mode == ModeSIX || req.Mode == ModeIX {
+			if req.Mode == spi.ModeX || req.Mode == spi.ModeSIX || req.Mode == spi.ModeIX {
 				// Intention modes do not themselves touch data at this
 				// granule; only the explicit writer modes are checked.
-				if req.Mode == ModeIX {
+				if req.Mode == spi.ModeIX {
 					return false
 				}
 				return m.oracle.Interferes(req.Step, g.assertion)
@@ -182,19 +174,19 @@ func (m *Manager) conflictsWithGrant(txn *TxnInfo, req Request, g *grant) bool {
 			// the holder's current breakpoint to observe its intermediate
 			// state. Intention modes pass: the real access is checked at the
 			// finer granule.
-			if req.Mode == ModeIS || req.Mode == ModeIX {
+			if req.Mode == spi.ModeIS || req.Mode == spi.ModeIX {
 				return false
 			}
 			return !m.oracle.MayInterleave(req.Step, g.txn.Type, g.txn.CompletedSteps())
 		case kindReservation:
 			return false
 		}
-	case ModeA:
+	case spi.ModeA:
 		switch g.kind {
 		case kindConventional:
 			// A writer currently holds the item; the assertion may be
 			// invalidated by that in-flight step.
-			if g.mode == ModeX || g.mode == ModeSIX {
+			if g.mode == spi.ModeX || g.mode == spi.ModeSIX {
 				return m.oracle.Interferes(g.step, req.Assertion)
 			}
 			return false
@@ -221,13 +213,13 @@ func (m *Manager) conflictsWithGrant(txn *TxnInfo, req Request, g *grant) bool {
 
 // conflictsWithWaiter reports whether an incoming request must queue behind
 // an earlier waiter (FIFO fairness: treat the earlier request as if granted).
-func (m *Manager) conflictsWithWaiter(txn *TxnInfo, req Request, w *waiter) bool {
+func (m *Manager) conflictsWithWaiter(txn *spi.Txn, req spi.LockRequest, w *waiter) bool {
 	if w.txn.ID == txn.ID {
 		return false
 	}
 	g := &grant{txn: w.txn, mode: w.req.Mode, step: w.req.Step}
 	switch w.req.Mode {
-	case ModeA:
+	case spi.ModeA:
 		g.kind = kindAssertional
 		g.assertion = w.req.Assertion
 	default:
@@ -237,7 +229,7 @@ func (m *Manager) conflictsWithWaiter(txn *TxnInfo, req Request, w *waiter) bool
 }
 
 // findConventional returns txn's conventional grant on the state, if any.
-func (st *lockState) findConventional(txn TxnID) *grant {
+func (st *lockState) findConventional(txn spi.TxnID) *grant {
 	for _, g := range st.grants {
 		if g.kind == kindConventional && g.txn.ID == txn {
 			return g
@@ -247,7 +239,7 @@ func (st *lockState) findConventional(txn TxnID) *grant {
 }
 
 // findAssertional returns txn's assertional grant for an assertion, if any.
-func (st *lockState) findAssertional(txn TxnID, a interference.AssertionID) *grant {
+func (st *lockState) findAssertional(txn spi.TxnID, a interference.AssertionID) *grant {
 	for _, g := range st.grants {
 		if g.kind == kindAssertional && g.txn.ID == txn && g.assertion == a {
 			return g
@@ -259,7 +251,7 @@ func (st *lockState) findAssertional(txn TxnID, a interference.AssertionID) *gra
 // Acquire obtains the requested lock on item for txn, blocking until it is
 // granted, the request is chosen as a deadlock victim, the wait is cancelled,
 // or the wait budget expires.
-func (m *Manager) Acquire(txn *TxnInfo, item Item, req Request) error {
+func (m *Manager) Acquire(txn *spi.Txn, item spi.Item, req spi.LockRequest) error {
 	return m.AcquireCtx(context.Background(), txn, item, req)
 }
 
@@ -268,14 +260,14 @@ func (m *Manager) Acquire(txn *TxnInfo, item Item, req Request) error {
 // (or an expired deadline) stops waiting immediately and the engine can
 // roll the transaction back by compensation. The fast path — the lock is
 // granted without waiting — never consults ctx.
-func (m *Manager) AcquireCtx(ctx context.Context, txn *TxnInfo, item Item, req Request) error {
+func (m *Manager) AcquireCtx(ctx context.Context, txn *spi.Txn, item spi.Item, req spi.LockRequest) error {
 	sh := m.shardOf(item)
 	sh.stats.acquisitions.Add(1)
 	sh.mu.Lock()
 	st := sh.state(item)
 
 	// Reentrant and conversion handling for conventional modes.
-	if req.Mode != ModeA {
+	if req.Mode != spi.ModeA {
 		if g := st.findConventional(txn.ID); g != nil {
 			want := sup(g.mode, req.Mode)
 			if want == g.mode {
@@ -320,7 +312,7 @@ func (m *Manager) AcquireCtx(ctx context.Context, txn *TxnInfo, item Item, req R
 
 // anyGrantConflict reports a conflict between req and any current grant.
 // Caller holds the item's shard latch.
-func (m *Manager) anyGrantConflict(txn *TxnInfo, req Request, st *lockState) bool {
+func (m *Manager) anyGrantConflict(txn *spi.Txn, req spi.LockRequest, st *lockState) bool {
 	for _, g := range st.grants {
 		if m.conflictsWithGrant(txn, req, g) {
 			return true
@@ -331,7 +323,7 @@ func (m *Manager) anyGrantConflict(txn *TxnInfo, req Request, st *lockState) boo
 
 // anyWaiterConflict reports a conflict between req and any queued waiter.
 // Caller holds the item's shard latch.
-func (m *Manager) anyWaiterConflict(txn *TxnInfo, req Request, st *lockState) bool {
+func (m *Manager) anyWaiterConflict(txn *spi.Txn, req spi.LockRequest, st *lockState) bool {
 	for _, w := range st.queue {
 		if m.conflictsWithWaiter(txn, req, w) {
 			return true
@@ -342,8 +334,8 @@ func (m *Manager) anyWaiterConflict(txn *TxnInfo, req Request, st *lockState) bo
 
 // install adds the grant entry for a now-compatible request. Caller holds
 // the item's shard latch.
-func (m *Manager) install(txn *TxnInfo, item Item, sh *shard, st *lockState, req Request) {
-	if req.Mode != ModeA {
+func (m *Manager) install(txn *spi.Txn, item spi.Item, sh *shard, st *lockState, req spi.LockRequest) {
+	if req.Mode != spi.ModeA {
 		if g := st.findConventional(txn.ID); g != nil {
 			g.mode = sup(g.mode, req.Mode)
 			g.step = req.Step
@@ -353,7 +345,7 @@ func (m *Manager) install(txn *TxnInfo, item Item, sh *shard, st *lockState, req
 	}
 	g := sh.newGrant()
 	g.txn, g.step, g.stepSeq = txn, req.Step, txn.CompletedSteps()
-	if req.Mode == ModeA {
+	if req.Mode == spi.ModeA {
 		g.kind = kindAssertional
 		g.assertion = req.Assertion
 	} else {
@@ -370,7 +362,7 @@ func (m *Manager) install(txn *TxnInfo, item Item, sh *shard, st *lockState, req
 // and its mode tag names what was waited on. A request queued only behind
 // earlier waiters classifies by the front waiter's would-be grant. Caller
 // holds the shard latch.
-func (m *Manager) blockStage(txn *TxnInfo, req Request, st *lockState) (trace.SpanStage, string) {
+func (m *Manager) blockStage(txn *spi.Txn, req spi.LockRequest, st *lockState) (trace.SpanStage, string) {
 	for _, g := range st.grants {
 		if m.conflictsWithGrant(txn, req, g) {
 			switch g.kind {
@@ -387,7 +379,7 @@ func (m *Manager) blockStage(txn *TxnInfo, req Request, st *lockState) (trace.Sp
 	}
 	for _, qw := range st.queue {
 		if m.conflictsWithWaiter(txn, req, qw) {
-			if qw.req.Mode == ModeA {
+			if qw.req.Mode == spi.ModeA {
 				return trace.StageLockA, "A"
 			}
 			return trace.StageLockConv, qw.req.Mode.String()
@@ -413,9 +405,9 @@ func spanWait(w *waiter, waited time.Duration, kind trace.Kind) {
 // case — the span cares about where time went, not queue mechanics).
 func spanWaitKind(granted bool, err error) trace.Kind {
 	switch {
-	case err == ErrTimeout:
+	case err == spi.ErrTimeout:
 		return trace.KindLockTimeout
-	case err == ErrDeadlock:
+	case err == spi.ErrDeadlock:
 		return trace.KindDeadlockVictim
 	case err != nil || !granted:
 		return trace.KindLockAbort
@@ -427,7 +419,7 @@ func spanWaitKind(granted bool, err error) trace.Kind {
 // wait enqueues the request, publishes it in the waits-for registry, runs
 // deadlock detection, and parks until the grant, the wait budget, or ctx.
 // Called with sh.mu held; releases it.
-func (m *Manager) wait(ctx context.Context, txn *TxnInfo, item Item, sh *shard, st *lockState, req Request, conversion bool) error {
+func (m *Manager) wait(ctx context.Context, txn *spi.Txn, item spi.Item, sh *shard, st *lockState, req spi.LockRequest, conversion bool) error {
 	w := &waiter{txn: txn, req: req, item: item, sh: sh, conv: conversion, ch: make(chan struct{}, 1)}
 	if txn.Span != nil {
 		w.stage, w.blockedBy = m.blockStage(txn, req, st)
@@ -489,8 +481,8 @@ func (m *Manager) wait(ctx context.Context, txn *TxnInfo, item Item, sh *shard, 
 	select {
 	case <-w.ch:
 	case <-timeout:
-		if abandoned := m.abandonWait(w, start, ErrTimeout, trace.KindLockTimeout, ""); abandoned {
-			return ErrTimeout
+		if abandoned := m.abandonWait(w, start, spi.ErrTimeout, trace.KindLockTimeout, ""); abandoned {
+			return spi.ErrTimeout
 		}
 		<-w.ch // finalized concurrently; consume the signal
 	case <-ctx.Done():
@@ -549,7 +541,7 @@ func (m *Manager) finishWait(w *waiter, start time.Time) error {
 		return err
 	}
 	if !granted {
-		return ErrAborted
+		return spi.ErrAborted
 	}
 	return nil
 }
@@ -561,9 +553,9 @@ func (m *Manager) finishWait(w *waiter, start time.Time) error {
 func (m *Manager) emitWaitOutcome(w *waiter, granted bool, err error, waited int64) {
 	mode := w.req.Mode.String()
 	switch {
-	case err == ErrTimeout:
+	case err == spi.ErrTimeout:
 		m.emitLock(trace.KindLockTimeout, w.txn.ID, w.item, w.sh, mode, waited, "")
-	case err == ErrDeadlock:
+	case err == spi.ErrDeadlock:
 		m.emitLock(trace.KindDeadlockVictim, w.txn.ID, w.item, w.sh, mode, waited, "self")
 	case err != nil || !granted:
 		m.emitLock(trace.KindLockAbort, w.txn.ID, w.item, w.sh, mode, waited, "")
@@ -577,7 +569,7 @@ func (m *Manager) emitWaitOutcome(w *waiter, granted bool, err error, waited int
 // isConversion reports whether w is a conversion (its txn already holds a
 // conventional grant on the item). Caller holds the shard latch.
 func (w *waiter) isConversion(st *lockState) bool {
-	return st.findConventional(w.txn.ID) != nil && w.req.Mode != ModeA
+	return st.findConventional(w.txn.ID) != nil && w.req.Mode != spi.ModeA
 }
 
 // removeWaiter unlinks w from its queue and re-examines the queue: waiters
@@ -599,7 +591,7 @@ func (m *Manager) removeWaiter(sh *shard, w *waiter) {
 // grantPass re-examines an item's queue after its state changed, granting
 // every waiter that is now compatible with the grants and with all waiters
 // still ahead of it. Caller holds sh.mu.
-func (m *Manager) grantPass(sh *shard, item Item, st *lockState) {
+func (m *Manager) grantPass(sh *shard, item spi.Item, st *lockState) {
 	for i := 0; i < len(st.queue); {
 		w := st.queue[i]
 		if m.anyGrantConflict(w.txn, w.req, st) || m.conflictsAhead(w, st, i) {
@@ -633,7 +625,7 @@ func (m *Manager) conflictsAhead(w *waiter, st *lockState, i int) bool {
 // conventional access now requires interleaving permission at txn's current
 // breakpoint. Idempotent per (txn, item); the first step to expose wins, so
 // aborting a later step does not drop an earlier exposure.
-func (m *Manager) AttachExposure(txn *TxnInfo, item Item) {
+func (m *Manager) AttachExposure(txn *spi.Txn, item spi.Item) {
 	sh := m.shardOf(item)
 	sh.mu.Lock()
 	st := sh.state(item)
@@ -656,7 +648,7 @@ func (m *Manager) AttachExposure(txn *TxnInfo, item Item) {
 // AttachReservation records that a compensating step of type cs may later
 // modify item; assertional locks that cs would interfere with are refused on
 // it (§3.4's "new type of assertional lock").
-func (m *Manager) AttachReservation(txn *TxnInfo, item Item, cs interference.StepTypeID) {
+func (m *Manager) AttachReservation(txn *spi.Txn, item spi.Item, cs interference.StepTypeID) {
 	if cs == interference.NoStep {
 		return
 	}
@@ -689,10 +681,10 @@ func (m *Manager) AttachReservation(txn *TxnInfo, item Item, cs interference.Ste
 
 // releaseWhere removes txn's grants matching keep==false and re-runs grant
 // passes on affected items. It visits only the shards the transaction has
-// touched (tracked as a bitmask on TxnInfo), locking one shard at a time;
+// touched (tracked as a bitmask on spi.Txn), locking one shard at a time;
 // the release is not atomic across shards, which is harmless — lock release
 // order within the shrinking phase of 2PL is unconstrained.
-func (m *Manager) releaseWhere(txn *TxnInfo, drop func(*grant) bool) {
+func (m *Manager) releaseWhere(txn *spi.Txn, drop func(*grant) bool) {
 	mask := txn.ShardMask.Load()
 	for i := 0; mask != 0; i++ {
 		bit := uint64(1) << uint(i)
@@ -708,7 +700,7 @@ func (m *Manager) releaseWhere(txn *TxnInfo, drop func(*grant) bool) {
 }
 
 // releaseInShard applies a release pass to one shard. Caller holds sh.mu.
-func (m *Manager) releaseInShard(sh *shard, txn *TxnInfo, drop func(*grant) bool) {
+func (m *Manager) releaseInShard(sh *shard, txn *spi.Txn, drop func(*grant) bool) {
 	hs, ok := sh.held[txn.ID]
 	if !ok {
 		return
@@ -749,7 +741,7 @@ func (m *Manager) releaseInShard(sh *shard, txn *TxnInfo, drop func(*grant) bool
 // ReleaseConventional releases txn's conventional locks (step end under the
 // ACC: strict 2PL within the step; assertional, exposure and reservation
 // entries persist to commit).
-func (m *Manager) ReleaseConventional(txn *TxnInfo) {
+func (m *Manager) ReleaseConventional(txn *spi.Txn) {
 	m.releaseWhere(txn, func(g *grant) bool { return g.kind == kindConventional })
 }
 
@@ -757,7 +749,7 @@ func (m *Manager) ReleaseConventional(txn *TxnInfo) {
 // reservation marks attached during the aborted step (its writes are being
 // undone). Assertional locks are retained — the paper keeps them between
 // steps, which is why a recurring deadlock escalates to compensation.
-func (m *Manager) ReleaseStepAbort(txn *TxnInfo) {
+func (m *Manager) ReleaseStepAbort(txn *spi.Txn) {
 	seq := txn.CompletedSteps()
 	m.releaseWhere(txn, func(g *grant) bool {
 		if g.kind == kindConventional {
@@ -769,20 +761,20 @@ func (m *Manager) ReleaseStepAbort(txn *TxnInfo) {
 
 // ReleaseAssertion drops txn's assertional locks for one assertion type
 // (its precondition has been discharged by the completing step).
-func (m *Manager) ReleaseAssertion(txn *TxnInfo, a interference.AssertionID) {
+func (m *Manager) ReleaseAssertion(txn *spi.Txn, a interference.AssertionID) {
 	m.releaseWhere(txn, func(g *grant) bool {
 		return g.kind == kindAssertional && g.assertion == a
 	})
 }
 
 // ReleaseAll releases everything txn holds (commit, or end of compensation).
-func (m *Manager) ReleaseAll(txn *TxnInfo) {
+func (m *Manager) ReleaseAll(txn *spi.Txn) {
 	m.releaseWhere(txn, func(*grant) bool { return true })
 }
 
 // CancelWait aborts txn's blocked request, if any, making it return
 // ErrAborted. Used by the engine to kill victims picked by external policy.
-func (m *Manager) CancelWait(txn TxnID) {
+func (m *Manager) CancelWait(txn spi.TxnID) {
 	w := m.reg.get(txn)
 	if w == nil {
 		return
@@ -791,7 +783,7 @@ func (m *Manager) CancelWait(txn TxnID) {
 	sh.mu.Lock()
 	cancelled := false
 	if !w.granted && w.err == nil {
-		w.err = ErrAborted
+		w.err = spi.ErrAborted
 		m.removeWaiter(sh, w)
 		w.ch <- struct{}{}
 		cancelled = true
@@ -804,8 +796,8 @@ func (m *Manager) CancelWait(txn TxnID) {
 
 // HeldItems returns the items on which txn currently holds any entry,
 // useful for tests and debugging.
-func (m *Manager) HeldItems(txn TxnID) []Item {
-	var out []Item
+func (m *Manager) HeldItems(txn spi.TxnID) []spi.Item {
+	var out []spi.Item
 	for _, sh := range m.shards {
 		sh.mu.Lock()
 		if hs, ok := sh.held[txn]; ok {
@@ -818,7 +810,7 @@ func (m *Manager) HeldItems(txn TxnID) []Item {
 
 // HoldsConventional reports whether txn holds a conventional lock of at
 // least mode want on item.
-func (m *Manager) HoldsConventional(txn TxnID, item Item, want Mode) bool {
+func (m *Manager) HoldsConventional(txn spi.TxnID, item spi.Item, want spi.Mode) bool {
 	sh := m.shardOf(item)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -831,8 +823,8 @@ func (m *Manager) HoldsConventional(txn TxnID, item Item, want Mode) bool {
 }
 
 // ByClass returns the per-class wait tallies, aggregated across shards.
-func (m *Manager) ByClass() map[string]ClassStats {
-	out := make(map[string]ClassStats)
+func (m *Manager) ByClass() map[string]spi.ClassStats {
+	out := make(map[string]spi.ClassStats)
 	for _, sh := range m.shards {
 		sh.mu.Lock()
 		for k, v := range sh.byClass {
@@ -850,8 +842,8 @@ func (m *Manager) ByClass() map[string]ClassStats {
 // Stats returns the counters, aggregated across shards. (Renamed from
 // Snapshot: Manager.Snapshot now returns the structural lock-table dump in
 // snapshot.go.)
-func (m *Manager) Stats() Stats {
-	var s Stats
+func (m *Manager) Stats() spi.LockStats {
+	var s spi.LockStats
 	for _, sh := range m.shards {
 		s.Acquisitions += sh.stats.acquisitions.Load()
 		s.Waits += sh.stats.waits.Load()

@@ -1,6 +1,10 @@
 package lock
 
-import "sync"
+import (
+	"sync"
+
+	"accdb/internal/spi"
+)
 
 // waitRegistry is the cross-shard waits-for registry. Shards publish a
 // transaction's blocked request into it when the request enqueues and
@@ -16,15 +20,15 @@ import "sync"
 // shard latch, and no shard latch is held while taking it.
 type waitRegistry struct {
 	mu      sync.Mutex
-	waiting map[TxnID]*waiter
+	waiting map[spi.TxnID]*waiter
 }
 
 func newWaitRegistry() waitRegistry {
-	return waitRegistry{waiting: make(map[TxnID]*waiter)}
+	return waitRegistry{waiting: make(map[spi.TxnID]*waiter)}
 }
 
 // add publishes w as txn's blocked request.
-func (r *waitRegistry) add(txn TxnID, w *waiter) {
+func (r *waitRegistry) add(txn spi.TxnID, w *waiter) {
 	r.mu.Lock()
 	r.waiting[txn] = w
 	r.mu.Unlock()
@@ -32,7 +36,7 @@ func (r *waitRegistry) add(txn TxnID, w *waiter) {
 
 // remove withdraws w; it is identity-checked so a stale remove cannot drop
 // a successor request registered under the same transaction.
-func (r *waitRegistry) remove(txn TxnID, w *waiter) {
+func (r *waitRegistry) remove(txn spi.TxnID, w *waiter) {
 	r.mu.Lock()
 	if r.waiting[txn] == w {
 		delete(r.waiting, txn)
@@ -43,7 +47,7 @@ func (r *waitRegistry) remove(txn TxnID, w *waiter) {
 // get returns txn's currently published waiter, if any. The caller must
 // re-check the waiter's granted/err state under its shard latch before
 // acting on it.
-func (r *waitRegistry) get(txn TxnID) *waiter {
+func (r *waitRegistry) get(txn spi.TxnID) *waiter {
 	r.mu.Lock()
 	w := r.waiting[txn]
 	r.mu.Unlock()

@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"accdb/internal/spi"
 )
 
 // The lock table is partitioned into shards, mirroring the sharded hash
@@ -60,8 +62,8 @@ func ceilPow2(n int) int {
 // allocation-free on the hot path.
 type classKey struct {
 	table string
-	level Level
-	mode  Mode
+	level spi.Level
+	mode  spi.Mode
 }
 
 func (k classKey) String() string {
@@ -83,15 +85,15 @@ type shardCounters struct {
 // hold few items per shard, and the pointer indirection keeps the held map
 // free of per-append reassignments.
 type heldSet struct {
-	items []Item
+	items []spi.Item
 }
 
 // shard is one partition of the lock table.
 type shard struct {
 	mu      sync.Mutex
-	items   map[Item]*lockState
-	held    map[TxnID]*heldSet
-	byClass map[classKey]*ClassStats // guarded by mu
+	items   map[spi.Item]*lockState
+	held    map[spi.TxnID]*heldSet
+	byClass map[classKey]*spi.ClassStats // guarded by mu
 
 	// emptyStates counts empty lock states currently retained in items.
 	emptyStates int
@@ -115,9 +117,9 @@ type shard struct {
 
 func newShard(i int) *shard {
 	return &shard{
-		items:   make(map[Item]*lockState),
-		held:    make(map[TxnID]*heldSet),
-		byClass: make(map[classKey]*ClassStats),
+		items:   make(map[spi.Item]*lockState),
+		held:    make(map[spi.TxnID]*heldSet),
+		byClass: make(map[classKey]*spi.ClassStats),
 		bit:     1 << uint(i),
 		idx:     int16(i),
 	}
@@ -127,7 +129,7 @@ func newShard(i int) *shard {
 // holds sh.mu. Every caller either finds existing entries or installs a
 // grant/waiter, so a retained-empty state returned here is counted as
 // in-use again.
-func (sh *shard) state(item Item) *lockState {
+func (sh *shard) state(item spi.Item) *lockState {
 	st, ok := sh.items[item]
 	if !ok {
 		if n := len(sh.statePool); n > 0 {
@@ -147,7 +149,7 @@ func (sh *shard) state(item Item) *lockState {
 // the empty state in the map (up to maxEmptyStates) so re-locking a hot
 // item performs no map insert; overflow is unlinked and recycled. Caller
 // holds sh.mu.
-func (sh *shard) reapState(item Item, st *lockState) {
+func (sh *shard) reapState(item spi.Item, st *lockState) {
 	if sh.emptyStates < maxEmptyStates {
 		sh.emptyStates++
 		return
@@ -180,7 +182,7 @@ func (sh *shard) freeGrant(g *grant) {
 
 // noteHeld records that txn holds an entry on item in this shard and marks
 // the shard in the transaction's touched-shard set. Caller holds sh.mu.
-func (sh *shard) noteHeld(txn *TxnInfo, item Item) {
+func (sh *shard) noteHeld(txn *spi.Txn, item spi.Item) {
 	hs, ok := sh.held[txn.ID]
 	if !ok {
 		if n := len(sh.heldPool); n > 0 {
@@ -202,7 +204,7 @@ func (sh *shard) noteHeld(txn *TxnInfo, item Item) {
 
 // dropHeld removes the transaction's held record and recycles it. Caller
 // holds sh.mu.
-func (sh *shard) dropHeld(txn TxnID, hs *heldSet) {
+func (sh *shard) dropHeld(txn spi.TxnID, hs *heldSet) {
 	delete(sh.held, txn)
 	hs.items = hs.items[:0]
 	if len(sh.heldPool) < freelistCap {
@@ -212,13 +214,13 @@ func (sh *shard) dropHeld(txn TxnID, hs *heldSet) {
 
 // recordWait tallies one finished wait (granted, aborted, deadlocked or
 // timed out — every exit path) against the shard and its contention class.
-func (sh *shard) recordWait(item Item, mode Mode, waitedNanos uint64) {
+func (sh *shard) recordWait(item spi.Item, mode spi.Mode, waitedNanos uint64) {
 	sh.stats.waitNanos.Add(waitedNanos)
 	k := classKey{table: item.Table, level: item.Level, mode: mode}
 	sh.mu.Lock()
 	cs, ok := sh.byClass[k]
 	if !ok {
-		cs = &ClassStats{}
+		cs = &spi.ClassStats{}
 		sh.byClass[k] = cs
 	}
 	cs.Waits++
@@ -228,11 +230,11 @@ func (sh *shard) recordWait(item Item, mode Mode, waitedNanos uint64) {
 
 // shardOf routes an item to its shard by an FNV-1a hash of the full item
 // identity (table, level, key).
-func (m *Manager) shardOf(item Item) *shard {
+func (m *Manager) shardOf(item spi.Item) *shard {
 	return m.shards[m.shardIndex(item)]
 }
 
-func (m *Manager) shardIndex(item Item) int {
+func (m *Manager) shardIndex(item spi.Item) int {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211

@@ -544,9 +544,8 @@ func addKV(tc *core.Ctx, key, delta int64) error {
 	})
 }
 
-func encodePoke(v any) []byte {
-	a := v.(*pokeArgs)
-	return []byte(fmt.Sprintf("%d", a.Key))
+func appendPoke(dst []byte, v any) []byte {
+	return fmt.Appendf(dst, "%d", v.(*pokeArgs).Key)
 }
 
 func decodePoke(data []byte) (any, error) {
@@ -622,7 +621,7 @@ func registerLockerTypes(eng *core.Engine, li *lockerInterference) {
 		Steps: []core.Step{{Name: "poke", Type: li.stPoke, Body: func(tc *core.Ctx) error {
 			return addKV(tc, tc.Args().(*pokeArgs).Key, 10)
 		}}},
-		EncodeArgs: encodePoke,
+		AppendArgs: appendPoke,
 		DecodeArgs: decodePoke,
 	})
 	eng.MustRegister(&core.TxnType{
@@ -630,7 +629,7 @@ func registerLockerTypes(eng *core.Engine, li *lockerInterference) {
 		Steps: []core.Step{{Name: "poke-undo", Type: li.stPokeUndo, Body: func(tc *core.Ctx) error {
 			return addKV(tc, tc.Args().(*pokeArgs).Key, -10)
 		}}},
-		EncodeArgs: encodePoke,
+		AppendArgs: appendPoke,
 		DecodeArgs: decodePoke,
 	})
 }

@@ -637,6 +637,87 @@ func TestBinaryRequestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMisshapedWorkAreaRefused sends TPC-C records whose work-area slots
+// do not match their lines or districts: a raw JSON new_order with two
+// lines and no Filled/Amounts, a JSON delivery missing its Customers, and a
+// binary new_order whose lines lack their slot columns. The step bodies
+// index those slots, so each request must be refused with a non-OK status
+// instead of panicking the session goroutine (which would take the whole
+// server down), and well-formed requests must still commit afterwards.
+func TestMisshapedWorkAreaRefused(t *testing.T) {
+	scale := tpcc.Scale{
+		Warehouses: 1, Districts: 4, CustomersPerDistrict: 20,
+		Items: 50, InitialOrdersPerDistrict: 20, NewOrderBacklog: 8,
+	}
+	db := core.NewDB()
+	if err := tpcc.CreateSchema(db); err != nil {
+		t.Fatal(err)
+	}
+	if err := tpcc.Load(db, scale, 1); err != nil {
+		t.Fatal(err)
+	}
+	types := tpcc.BuildTypes()
+	eng := core.New(db, types.Tables, core.WithMode(core.ModeACC), core.WithWaitTimeout(20*time.Second))
+	if _, err := tpcc.Register(eng, types, scale); err != nil {
+		t.Fatal(err)
+	}
+	protos := tpcc.ArgsPrototypes()
+	srv := New(Config{Engine: eng, NewArgs: func(name string) any { return protos[name]() }})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- srv.Serve(ln) }()
+	rc := dialRaw(t, ln.Addr())
+	defer rc.c.Close()
+
+	raw := func(id uint64, name string, f wire.Format, args []byte) *wire.Response {
+		t.Helper()
+		if err := wire.WriteRequest(rc.c, &wire.Request{ID: id, Op: wire.OpRun, Fmt: f, Name: []byte(name), Args: args}); err != nil {
+			t.Fatal(err)
+		}
+		return rc.recv()
+	}
+	lines := `"Lines":[{"ItemID":1,"SupplyW":1,"Quantity":5},{"ItemID":2,"SupplyW":1,"Quantity":3}]`
+	if resp := raw(1, "new_order", wire.FmtJSON, []byte(`{"WID":1,"DID":1,"CID":1,`+lines+`}`)); resp.Status == wire.StatusOK {
+		t.Fatalf("JSON new_order without slots committed: %+v", resp)
+	}
+	if resp := raw(2, "delivery", wire.FmtJSON, []byte(`{"WID":1,"Carrier":1,"Date":1,"Claimed":[0,0,0,0],"Amounts":[0,0,0,0]}`)); resp.Status == wire.StatusOK {
+		t.Fatalf("JSON delivery without Customers committed: %+v", resp)
+	}
+	cols := spi.Row{spi.I64(1), spi.I64(1), spi.I64(1)}
+	for i := 0; i < 7; i++ {
+		cols = append(cols, spi.I64(0))
+	}
+	cols = append(cols, spi.I64(2), spi.I64(1), spi.I64(1), spi.I64(5), spi.I64(2), spi.I64(1), spi.I64(3))
+	if resp := raw(3, "new_order", wire.FmtBinary, spi.MarshalRow(nil, cols)); resp.Status != wire.StatusBadRequest {
+		t.Fatalf("binary new_order without slot columns: %+v, want bad-request", resp)
+	}
+
+	if resp := raw(4, "new_order", wire.FmtJSON, []byte(`{"WID":1,"DID":1,"CID":1,`+lines+`,"Filled":[0,0],"Amounts":[0,0]}`)); resp.Status != wire.StatusOK {
+		t.Fatalf("well-formed new_order after refusals: %s %s", resp.Status, resp.Msg)
+	}
+	dlv := wire.CodecFor("delivery").Encode(nil, &tpcc.DeliveryArgs{
+		WID: 1, Carrier: 1, Date: 1,
+		Claimed: make([]int64, 4), Amounts: make([]int64, 4), Customers: make([]int64, 4),
+	})
+	if resp := raw(5, "delivery", wire.FmtBinary, dlv); resp.Status != wire.StatusOK {
+		t.Fatalf("well-formed delivery after refusals: %s %s", resp.Status, resp.Msg)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-serveDone; err != nil {
+		t.Fatal(err)
+	}
+	if errs := tpcc.CheckConsistency(db, scale, nil); len(errs) > 0 {
+		t.Fatalf("consistency after refusals: %v", errs)
+	}
+}
+
 // TestGroupCommitAcrossSessions is the cross-session group-commit
 // acceptance check: many concurrent client sessions commit against a
 // WAL-backed engine with a group window, and one leader's force must cover

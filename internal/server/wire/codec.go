@@ -1,6 +1,6 @@
 // Work-area codec registry and the frame buffer pool. A transaction type
-// with a registered ArgCodec travels as a fixed-layout binary record
-// (FmtBinary) instead of JSON, encoded into and decoded out of pooled
+// with a registered ArgCodec travels as a binary record (FmtBinary) instead
+// of JSON, encoded into and decoded out of pooled
 // storage, so the steady-state request path performs zero heap allocations
 // per request. Types without a codec fall back to JSON transparently — the
 // format byte on each frame keeps both populations interoperable.
@@ -13,9 +13,9 @@ import (
 	"sync/atomic"
 )
 
-// ArgCodec is the fixed-layout binary encoding of one transaction type's
-// argument record, registered once (typically from the workload package's
-// init) and shared by the server and the client.
+// ArgCodec is the binary encoding of one transaction type's argument
+// record, registered once (typically from the workload package's init) and
+// shared by the server and the client.
 type ArgCodec struct {
 	// Name is the transaction type this codec encodes.
 	Name string
@@ -26,9 +26,10 @@ type ArgCodec struct {
 	// Encode appends the record's binary layout to dst and returns the
 	// extended buffer. It must accept any record New produces.
 	Encode func(dst []byte, v any) []byte
-	// Decode overwrites v from data. It must bounds-check hostile input and
-	// reuse v's slice capacity; it never panics on truncated or oversized
-	// payloads.
+	// Decode overwrites every field of v from data. It must bounds-check
+	// hostile input, refuse records whose shape the transaction cannot run,
+	// and reuse v's slice capacity; it never panics on truncated, oversized
+	// or mis-shaped payloads.
 	Decode func(data []byte, v any) error
 
 	nameBytes []byte

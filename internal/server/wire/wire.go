@@ -35,8 +35,10 @@
 // finish out of order.
 //
 // Argument records travel either as JSON (the universal fallback) or, for
-// transaction types with a registered ArgCodec, as a fixed-layout binary
-// work area. The format byte makes the choice per request, and the server
+// transaction types with a registered ArgCodec, as a binary work area in
+// the codec's layout — for the TPC-C types, the same bytes the engine's
+// end-of-step WAL record saves, so one encoding serves log and wire. The
+// format byte makes the choice per request, and the server
 // answers in the format the request used, so binary-speaking and
 // JSON-speaking clients interoperate against the same server.
 //
@@ -56,10 +58,12 @@ import (
 // Version is the protocol version stamped on every payload. Version 2
 // introduced the version byte itself, the args/result format byte, and the
 // binary work-area codec; version 3 added the request trace id; version 4
-// added the read-tier byte selecting the lock-free versioned read path. As
-// with the v1→v2 break, there is no cross-version interoperability — both
-// ends of a deployment upgrade together.
-const Version = 4
+// added the read-tier byte selecting the lock-free versioned read path;
+// version 5 replaced the TPC-C codecs' fixed-width layout with the WAL's
+// varint work-area encoding. As with the v1→v2 break, there is no
+// cross-version interoperability — both ends of a deployment upgrade
+// together.
+const Version = 5
 
 // Op selects what a request asks the server to do.
 type Op uint8
@@ -77,8 +81,7 @@ type Format uint8
 const (
 	// FmtJSON is the universal fallback: the field is a JSON document.
 	FmtJSON Format = 0
-	// FmtBinary is the fixed-layout work-area encoding of a registered
-	// ArgCodec.
+	// FmtBinary is the work-area encoding of a registered ArgCodec.
 	FmtBinary Format = 1
 )
 

@@ -240,17 +240,21 @@ func (reg *Registration) newOrderType() *core.TxnType {
 			Type: t.CSNewOrder,
 			Body: reg.noCompensate,
 		},
-		EncodeArgs: encodeNewOrder,
 		AppendArgs: appendNewOrder,
-		DecodeArgs: decodeNewOrder,
+		DecodeArgs: fresh[NewOrderArgs](decodeNewOrder),
 	}
 }
 
-// noSetup is NO1: read warehouse and customer rates, take the next order
-// number from the district (the hot-spot counter of §5.1), and enter the
-// order and its new_order queue entry.
+// noSetup is NO1: check the work area's shape, read warehouse and customer
+// rates, take the next order number from the district (the hot-spot counter
+// of §5.1), and enter the order and its new_order queue entry.
 func (reg *Registration) noSetup(tc *core.Ctx) error {
 	a := tc.Args().(*NewOrderArgs)
+	// JSON and in-process callers can hand over any shape; the line steps
+	// index the slots, so refuse before anything is written.
+	if !a.wellShaped() {
+		return tc.Abort("new_order work area needs one Filled and Amounts slot per line")
+	}
 	wrow, err := tc.Get(TWarehouse, i64(a.WID))
 	if err != nil {
 		return err
@@ -436,9 +440,8 @@ func (reg *Registration) paymentType() *core.TxnType {
 			Type: t.CSPayment,
 			Body: reg.payCompensate,
 		},
-		EncodeArgs: encodePayment,
 		AppendArgs: appendPayment,
-		DecodeArgs: decodePayment,
+		DecodeArgs: fresh[PaymentArgs](decodePayment),
 	}
 }
 

@@ -38,9 +38,8 @@ func (reg *Registration) deliveryType() *core.TxnType {
 			Type: t.CSDelivery,
 			Body: reg.dlvCompensate,
 		},
-		EncodeArgs: encodeDelivery,
 		AppendArgs: appendDelivery,
-		DecodeArgs: decodeDelivery,
+		DecodeArgs: fresh[DeliveryArgs](decodeDelivery),
 	}
 }
 
@@ -53,6 +52,11 @@ func (reg *Registration) deliveryType() *core.TxnType {
 func (reg *Registration) dlvClaim(d int64) func(*core.Ctx) error {
 	return func(tc *core.Ctx) error {
 		a := tc.Args().(*DeliveryArgs)
+		// The first claim checks the work area's shape before anything is
+		// written: every later step indexes the district slots.
+		if d == 1 && !a.hasSlots(reg.Scale.Districts) {
+			return tc.Abort("delivery work area needs three slots per district")
+		}
 		row, err := tc.ClaimMin(TNewOrder, IdxNewOrderByDist,
 			[]spi.Value{i64(a.WID), i64(d)})
 		if err != nil {

@@ -208,8 +208,8 @@ func (c *Client) Ping(ctx context.Context) error {
 }
 
 // Run executes the named transaction type on the server with the given
-// argument record. A type with a registered wire.ArgCodec travels as a
-// fixed-layout binary record through pooled buffers; anything else is
+// argument record. A type with a registered wire.ArgCodec travels as its
+// binary work area through pooled buffers; anything else is
 // marshaled to JSON once. On a final outcome the response's work area is
 // decoded back into args, so output fields (assigned order numbers, fetched
 // balances) appear in place, exactly as with the in-process acc.Engine.
